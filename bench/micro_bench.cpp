@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the hot paths of the reproduction:
 // the master's randomize+patch pass (determines how much CPU headroom the
 // ATmega1284P model needs), the attacker's gadget scan, the MAVLink codec,
-// the CRC and the raw simulator speed.
+// and the CRC. Simulator speed is bench/interp_throughput's (and
+// trace_overhead's BM_Untraced).
 #include <benchmark/benchmark.h>
 
 #include "attack/gadgets.hpp"
@@ -9,7 +10,6 @@
 #include "firmware/generator.hpp"
 #include "firmware/profile.hpp"
 #include "mavlink/mavlink.hpp"
-#include "sim/board.hpp"
 #include "support/crc.hpp"
 #include "support/rng.hpp"
 #include "toolchain/image.hpp"
@@ -21,12 +21,6 @@ using namespace mavr;
 const firmware::Firmware& arduplane_fw() {
   static firmware::Firmware fw = firmware::generate(
       firmware::arduplane(true), toolchain::ToolchainOptions::mavr());
-  return fw;
-}
-
-const firmware::Firmware& test_fw() {
-  static firmware::Firmware fw = firmware::generate(
-      firmware::testapp(true), toolchain::ToolchainOptions::mavr());
   return fw;
 }
 
@@ -97,20 +91,6 @@ void BM_Crc16(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_Crc16);
-
-void BM_CpuSimulation(benchmark::State& state) {
-  sim::Board board;
-  board.flash_image(test_fw().image.bytes);
-  board.run_cycles(200'000);  // boot
-  for (auto _ : state) {
-    board.run_cycles(100'000);
-    if (board.cpu().state() != avr::CpuState::Running) state.SkipWithError("board died");
-  }
-  state.counters["sim_MHz"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 100'000,
-      benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
-}
-BENCHMARK(BM_CpuSimulation)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

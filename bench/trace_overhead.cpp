@@ -1,11 +1,10 @@
 // Tracer overhead on the interpreter hot loop: the same firmware run
 // untraced (the single null-pointer branch), under each concrete sink, and
-// under the full Session. The untraced number must stay within a few
-// percent of BM_CpuSimulation in micro_bench — that is the zero-cost-when-
-// disabled contract of the observability layer.
+// under the full Session. BM_Untraced is the baseline every traced case is
+// read against — that is the zero-cost-when-disabled contract of the
+// observability layer. Detector cost is bench/detect_overhead's.
 #include <benchmark/benchmark.h>
 
-#include "detect/engine.hpp"
 #include "firmware/generator.hpp"
 #include "firmware/profile.hpp"
 #include "sim/board.hpp"
@@ -102,21 +101,6 @@ void BM_Watchpoints(benchmark::State& state) {
   sim_rate(state);
 }
 BENCHMARK(BM_Watchpoints)->Unit(benchmark::kMicrosecond);
-
-void BM_Detectors(benchmark::State& state) {
-  // The full intrusion-detection engine (DESIGN.md §10) on the same hooks:
-  // separates tracer-only cost from tracer+detector cost (detect_overhead
-  // sweeps the individual detectors).
-  sim::Board board;
-  board.flash_image(test_fw().image.bytes);
-  board.run_cycles(200'000);
-  detect::Engine engine;
-  engine.arm(board.cpu());
-  engine.rebuild(test_fw().image.bytes, test_fw().image.text_end);
-  for (auto _ : state) run_slice(state, board);
-  sim_rate(state);
-}
-BENCHMARK(BM_Detectors)->Unit(benchmark::kMicrosecond);
 
 void BM_FullSession(benchmark::State& state) {
   // Everything at once, plus the UART tap: the mavr-trace configuration.

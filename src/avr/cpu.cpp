@@ -3,176 +3,12 @@
 #include <algorithm>
 #include <bit>
 
+#include "avr/isa.hpp"
 #include "support/hexdump.hpp"
 
 namespace mavr::avr {
 
-namespace {
-constexpr std::uint8_t bit7(std::uint8_t v) { return (v >> 7) & 1; }
-constexpr std::uint8_t bit3(std::uint8_t v) { return (v >> 3) & 1; }
-
-/// SREG bit as a mask byte.
-constexpr std::uint8_t fb(SregBit bit) {
-  return static_cast<std::uint8_t>(1u << bit);
-}
-
-// Flag groups recomputed per ALU class. Each group is cleared from a local
-// copy of SREG, the fresh bits OR-ed in, and the result written back once —
-// the old per-flag set_flag() path cost six read-modify-write round trips
-// through the data space per arithmetic instruction.
-constexpr std::uint8_t kArithFlags =
-    fb(kH) | fb(kC) | fb(kV) | fb(kN) | fb(kZ) | fb(kS);
-constexpr std::uint8_t kLogicFlags = fb(kV) | fb(kN) | fb(kZ) | fb(kS);
-constexpr std::uint8_t kShiftFlags =
-    fb(kC) | fb(kV) | fb(kN) | fb(kZ) | fb(kS);
-
-// Pure SREG calculators. The interpreter's flag helpers and the superblock
-// executor (run_tier) both delegate here — one definition per formula, so
-// the two execution paths cannot drift apart.
-constexpr std::uint8_t sreg_add(std::uint8_t sreg, std::uint8_t d,
-                                std::uint8_t r, std::uint8_t res) {
-  // Branchless composition. `carries` is the full-adder carry-out vector,
-  // the identity (d&r) | ((d|r) & ~res) — valid with any carry-in because
-  // `res` already encodes it — so H and C are single bit extracts and V is
-  // the textbook signed-overflow formula. Data-dependent flag bits are
-  // close to random, so arithmetic beats branching on them.
-  const unsigned carries = (d & r) | ((d | r) & ~unsigned{res});
-  const unsigned v =
-      ((d & r & ~unsigned{res}) | (~unsigned{d} & ~unsigned{r} & res)) >> 7;
-  const unsigned n = res >> 7;
-  const unsigned c = (carries >> 7) & 1;
-  const unsigned h = (carries >> 3) & 1;
-  const unsigned z = res == 0 ? 1u : 0u;
-  return static_cast<std::uint8_t>(
-      (sreg & ~unsigned{kArithFlags}) | (c << kC) | (z << kZ) | (n << kN) |
-      (v << kV) | ((n ^ v) << kS) | (h << kH));
-}
-
-constexpr std::uint8_t sreg_sub(std::uint8_t sreg, std::uint8_t d,
-                                std::uint8_t r, std::uint8_t res,
-                                bool keep_z) {
-  // Mirror of sreg_add with the borrow-out vector (~d&r) | ((~d|r)&res);
-  // again `res` encodes the borrow-in, so H and C fall out as bit extracts.
-  const unsigned nd = ~unsigned{d};
-  const unsigned borrows = (nd & r) | ((nd | r) & res);
-  const unsigned v =
-      ((d & ~unsigned{r} & ~unsigned{res}) | (nd & r & res)) >> 7;
-  const unsigned n = res >> 7;
-  const unsigned c = (borrows >> 7) & 1;
-  const unsigned h = (borrows >> 3) & 1;
-  // SBC/SBCI/CPC only clear Z, never set it (multi-byte compare semantics):
-  // with keep_z the old Z gates the new one.
-  const unsigned zgate = keep_z ? (sreg >> kZ) & 1u : 1u;
-  const unsigned z = res == 0 ? zgate : 0u;
-  return static_cast<std::uint8_t>(
-      (sreg & ~unsigned{kArithFlags}) | (c << kC) | (z << kZ) | (n << kN) |
-      (v << kV) | ((n ^ v) << kS) | (h << kH));
-}
-
-constexpr std::uint8_t sreg_logic(std::uint8_t sreg, std::uint8_t res) {
-  const unsigned n = res >> 7;
-  const unsigned z = res == 0 ? 1u : 0u;
-  return static_cast<std::uint8_t>((sreg & ~unsigned{kLogicFlags}) |
-                                   (z << kZ) | (n << kN) |
-                                   (n << kS));  // S = N ^ V with V = 0
-}
-
-constexpr std::uint8_t sreg_mul(std::uint8_t sreg, std::uint16_t res) {
-  std::uint8_t s = sreg & static_cast<std::uint8_t>(~(fb(kC) | fb(kZ)));
-  if ((res >> 15) & 1) s |= fb(kC);
-  if (res == 0) s |= fb(kZ);
-  return s;
-}
-
-constexpr std::uint8_t sreg_com(std::uint8_t sreg, std::uint8_t res) {
-  std::uint8_t s = sreg & static_cast<std::uint8_t>(~(kLogicFlags | fb(kC)));
-  s |= fb(kC);  // COM always sets carry
-  if (bit7(res)) s |= fb(kN) | fb(kS);
-  if (res == 0) s |= fb(kZ);
-  return s;
-}
-
-constexpr std::uint8_t sreg_neg(std::uint8_t sreg, std::uint8_t d,
-                                std::uint8_t res) {
-  const bool n = bit7(res) != 0, v = res == 0x80;
-  std::uint8_t s = sreg & static_cast<std::uint8_t>(~kArithFlags);
-  if ((bit3(res) | bit3(d)) != 0) s |= fb(kH);
-  if (res != 0) s |= fb(kC);
-  if (v) s |= fb(kV);
-  if (n) s |= fb(kN);
-  if (res == 0) s |= fb(kZ);
-  if (n != v) s |= fb(kS);
-  return s;
-}
-
-constexpr std::uint8_t sreg_inc(std::uint8_t sreg, std::uint8_t res) {
-  const bool n = bit7(res) != 0, v = res == 0x80;
-  std::uint8_t s = sreg & static_cast<std::uint8_t>(~kLogicFlags);
-  if (v) s |= fb(kV);
-  if (n) s |= fb(kN);
-  if (res == 0) s |= fb(kZ);
-  if (n != v) s |= fb(kS);
-  return s;
-}
-
-constexpr std::uint8_t sreg_dec(std::uint8_t sreg, std::uint8_t res) {
-  const bool n = bit7(res) != 0, v = res == 0x7F;
-  std::uint8_t s = sreg & static_cast<std::uint8_t>(~kLogicFlags);
-  if (v) s |= fb(kV);
-  if (n) s |= fb(kN);
-  if (res == 0) s |= fb(kZ);
-  if (n != v) s |= fb(kS);
-  return s;
-}
-
-/// ASR and ROR share this: C from the shifted-out bit, V = N ^ C.
-constexpr std::uint8_t sreg_asr_ror(std::uint8_t sreg, std::uint8_t d,
-                                    std::uint8_t res) {
-  const bool c = (d & 1) != 0, n = bit7(res) != 0, v = n != c;
-  std::uint8_t s = sreg & static_cast<std::uint8_t>(~kShiftFlags);
-  if (c) s |= fb(kC);
-  if (n) s |= fb(kN);
-  if (res == 0) s |= fb(kZ);
-  if (v) s |= fb(kV);
-  if (n != v) s |= fb(kS);
-  return s;
-}
-
-constexpr std::uint8_t sreg_lsr(std::uint8_t sreg, std::uint8_t d,
-                                std::uint8_t res) {
-  std::uint8_t s = sreg & static_cast<std::uint8_t>(~kShiftFlags);
-  // N = 0, so V = N ^ C = C and S = N ^ V = C.
-  if (d & 1) s |= fb(kC) | fb(kV) | fb(kS);
-  if (res == 0) s |= fb(kZ);
-  return s;
-}
-
-constexpr std::uint8_t sreg_adiw(std::uint8_t sreg, std::uint16_t d,
-                                 std::uint16_t res) {
-  const bool rdh7 = ((d >> 15) & 1) != 0, r15 = ((res >> 15) & 1) != 0;
-  const bool v = !rdh7 && r15;
-  std::uint8_t s = sreg & static_cast<std::uint8_t>(~kShiftFlags);
-  if (v) s |= fb(kV);
-  if (!r15 && rdh7) s |= fb(kC);
-  if (r15) s |= fb(kN);
-  if (res == 0) s |= fb(kZ);
-  if (r15 != v) s |= fb(kS);
-  return s;
-}
-
-constexpr std::uint8_t sreg_sbiw(std::uint8_t sreg, std::uint16_t d,
-                                 std::uint16_t res) {
-  const bool rdh7 = ((d >> 15) & 1) != 0, r15 = ((res >> 15) & 1) != 0;
-  const bool v = rdh7 && !r15;
-  std::uint8_t s = sreg & static_cast<std::uint8_t>(~kShiftFlags);
-  if (v) s |= fb(kV);
-  if (r15 && !rdh7) s |= fb(kC);
-  if (r15) s |= fb(kN);
-  if (res == 0) s |= fb(kZ);
-  if (r15 != v) s |= fb(kS);
-  return s;
-}
-}  // namespace
+using isa::fb;
 
 namespace {
 /// Decode-cache sentinel: size_words == 0 never comes out of decode().
@@ -239,22 +75,6 @@ void Cpu::set_flag(SregBit bit, bool value) {
   set_sreg(s);
 }
 
-void Cpu::flags_add(std::uint8_t d, std::uint8_t r, std::uint8_t carry_in,
-                    std::uint8_t res) {
-  (void)carry_in;  // `res` already encodes it; see sreg_add
-  set_sreg(sreg_add(sreg(), d, r, res));
-}
-
-void Cpu::flags_sub(std::uint8_t d, std::uint8_t r, std::uint8_t borrow_in,
-                    std::uint8_t res, bool keep_z) {
-  (void)borrow_in;
-  set_sreg(sreg_sub(sreg(), d, r, res, keep_z));
-}
-
-void Cpu::flags_logic(std::uint8_t res) {
-  set_sreg(sreg_logic(sreg(), res));
-}
-
 void Cpu::push_byte(std::uint8_t value) {
   // Stack traffic is deliberately not routed through load_mem/store_mem:
   // tracers observe it via on_sp_change / on_call / on_ret instead, keeping
@@ -271,30 +91,17 @@ std::uint8_t Cpu::pop_byte() {
 }
 
 void Cpu::push_pc(std::uint32_t ret_words) {
-  // Hardware pushes the LSB first, so ascending memory reads big-endian —
-  // the byte order every ROP payload in the paper (Fig. 6) relies on.
-  //
-  // Fast path: when every pushed byte lands in plain RAM (at or above the
-  // I/O region, below the data-space end) the writes cannot hit a device
-  // handler, cannot wrap, and cannot alias SPL/SPH — so batching them is
-  // exactly equivalent to the byte-at-a-time sequence. A stack pivoted
-  // into the I/O region or off the end takes the general path, which
-  // re-reads SP between bytes (a push that rewrites SPL redirects the
-  // bytes that follow, and the ROP payloads depend on that).
-  const std::uint16_t sp_now = sp();
-  const unsigned n = push_bytes_;
-  if (sp_now >= kExtIoEnd + (n - 1) && sp_now < data_size_) [[likely]] {
-    ram_[sp_now] = static_cast<std::uint8_t>(ret_words & 0xFF);
-    ram_[sp_now - 1] = static_cast<std::uint8_t>((ret_words >> 8) & 0xFF);
-    if (n == 3) {
-      ram_[sp_now - 2] = static_cast<std::uint8_t>((ret_words >> 16) & 0xFF);
-    }
-    set_sp(static_cast<std::uint16_t>(sp_now - n));
+  // isa::push_ret batches the bytes when the whole frame sits in plain
+  // RAM. A stack pivoted into the I/O region or off the end takes the
+  // general path, which re-reads SP between bytes (a push that rewrites
+  // SPL redirects the bytes that follow, and the ROP payloads depend on
+  // that). Hardware pushes the LSB first.
+  if (isa::push_ret(ram_, data_size_, push_bytes_, ret_words)) [[likely]] {
     return;
   }
   push_byte(static_cast<std::uint8_t>(ret_words & 0xFF));
   push_byte(static_cast<std::uint8_t>((ret_words >> 8) & 0xFF));
-  if (n == 3) {
+  if (push_bytes_ == 3) {
     push_byte(static_cast<std::uint8_t>((ret_words >> 16) & 0xFF));
   }
 }
@@ -303,28 +110,14 @@ std::uint32_t Cpu::pop_pc() {
   // Returns the raw popped value; callers apply pc_mask_. Preserving the
   // unmasked bytes lets a wild return from a smashed stack be diagnosed
   // instead of silently wrapping into valid flash.
-  //
-  // Same fast path as push_pc: plain-RAM loads have no side effects, so
-  // batching them is exact whenever all n bytes sit in [kExtIoEnd, end).
-  const std::uint32_t sp_now = sp();
-  const unsigned n = push_bytes_;
-  if (sp_now + 1 >= kExtIoEnd && sp_now + n < data_size_) [[likely]] {
-    std::uint32_t value = 0;
-    for (unsigned i = 1; i <= n; ++i) value = (value << 8) | ram_[sp_now + i];
-    set_sp(static_cast<std::uint16_t>(sp_now + n));
+  std::uint32_t value = 0;
+  if (isa::pop_ret(ram_, data_size_, push_bytes_, value)) [[likely]] {
     return value;
   }
-  std::uint32_t value = 0;
-  if (n == 3) value = pop_byte();
+  if (push_bytes_ == 3) value = pop_byte();
   value = (value << 8) | pop_byte();
   value = (value << 8) | pop_byte();
   return value;
-}
-
-std::uint32_t Cpu::skip_target(std::uint32_t next_pc) const {
-  // Skip over the next instruction: 1 or 2 words.
-  const std::uint16_t w = flash_.word(next_pc);
-  return (next_pc + (is_two_word(w) ? 2 : 1)) & pc_mask_;
 }
 
 void Cpu::fault_now(std::uint32_t pc_words, std::uint16_t opcode,
@@ -351,6 +144,15 @@ void Cpu::store_mem(std::uint32_t addr, std::uint8_t value) {
   if constexpr (kTraced) tracer_->on_store(*this, addr, value);
 }
 
+template <bool kTraced>
+struct Cpu::DataPort {
+  Cpu& cpu;
+  std::uint8_t load(std::uint32_t addr) { return cpu.load_mem<kTraced>(addr); }
+  void store(std::uint32_t addr, std::uint8_t value) {
+    cpu.store_mem<kTraced>(addr, value);
+  }
+};
+
 // The interpreter body is instantiated twice: the kTraced=false build is
 // byte-for-byte the old hook-free loop, the kTraced=true build weaves the
 // Tracer callbacks in. step()/run() pick an instantiation with a single
@@ -369,6 +171,14 @@ void Cpu::step_impl(std::uint64_t deadline, bool single) {
   std::uint32_t pc = pc_;
   std::uint64_t cycles = cycles_;
   std::uint64_t retired = retired_;
+  // Memory ports for the shared semantics: program data accesses go
+  // through load_mem/store_mem (dispatch, wrap, tracer hooks); stack
+  // traffic goes straight to the bus — tracers observe it via
+  // on_sp_change / on_call / on_ret instead, keeping on_load/on_store
+  // scoped to the program's explicit data accesses.
+  DataPort<kTraced> data{*this};
+  DataMemory& stack = data_;
+  const auto& op_cycles = isa::op_cycles(push_bytes_);
   try {
   do {
   if constexpr (kTraced) {
@@ -383,7 +193,12 @@ void Cpu::step_impl(std::uint64_t deadline, bool single) {
   // could alias a cache_ reference, forcing field reloads after every store.
   const Instr in = decoded(pc0);
   std::uint32_t next = (pc0 + in.size_words) & pc_mask_;
-  std::uint32_t cyc = 1;
+  std::uint32_t cyc = op_cycles[static_cast<std::size_t>(in.op)];
+  // Taken branches and skips cost one cycle more than the table's base.
+  const auto skip = [&] {
+    next = isa::skip_target(flash_, next, pc_mask_);
+    ++cyc;
+  };
 
   switch (in.op) {
     case Op::Invalid:
@@ -394,259 +209,65 @@ void Cpu::step_impl(std::uint64_t deadline, bool single) {
                 "invalid opcode " + support::hex_value(flash_.word(pc0)));
       if constexpr (kTraced) tracer_->on_fault(*this, fault_);
       return;
-
-    case Op::Nop:
+    case Op::Break:
+      state_ = CpuState::Stopped;
+      break;
     case Op::Sleep:
     case Op::Wdr:
     case Op::Spm:
       break;
-    case Op::Break:
-      state_ = CpuState::Stopped;
-      break;
 
-    // --- Two-register ALU ---------------------------------------------
-    case Op::Add: {
-      const std::uint8_t d = reg(in.rd), r = reg(in.rr);
-      const std::uint8_t res = static_cast<std::uint8_t>(d + r);
-      set_reg(in.rd, res);
-      flags_add(d, r, 0, res);
-      break;
+    // --- Table-driven ops (isa.hpp) --------------------------------------
+    // Register ops work on a local SREG copy: they touch nothing else of
+    // the data space, so one load and one store bracket them.
+#define MAVR_CPU_REG(name, cyc_, b)                   \
+    case Op::name: {                                  \
+      std::uint8_t s = ram_[kAddrSreg];               \
+      isa::name(ram_, s, in.rd, in.b, in.k);          \
+      ram_[kAddrSreg] = s;                            \
+      break;                                          \
     }
-    case Op::Adc: {
-      const std::uint8_t d = reg(in.rd), r = reg(in.rr);
-      const std::uint8_t carry = flag(kC);
-      const std::uint8_t res = static_cast<std::uint8_t>(d + r + carry);
-      set_reg(in.rd, res);
-      flags_add(d, r, carry, res);
+    MAVR_REG_OPS(MAVR_CPU_REG)
+#undef MAVR_CPU_REG
+#define MAVR_CPU_PTR(name, cyc_, ptr, mode, store, port)                   \
+    case Op::name:                                                         \
+      isa::ptr_access<ptr, isa::PtrMode::mode, store>(                     \
+          port, ram_, in.rd, isa::ptr_addr<ptr, isa::PtrMode::mode>(ram_, in.k)); \
       break;
-    }
-    case Op::Sub: {
-      const std::uint8_t d = reg(in.rd), r = reg(in.rr);
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r);
-      set_reg(in.rd, res);
-      flags_sub(d, r, 0, res, /*keep_z=*/false);
+    MAVR_PTR_OPS(MAVR_CPU_PTR)
+#undef MAVR_CPU_PTR
+#define MAVR_CPU_FLASH(name, cyc_, ext, r0, inc)                  \
+    case Op::name:                                                \
+      isa::flash_load<ext, r0, inc>(ram_, flash_, in.rd);         \
       break;
-    }
-    case Op::Sbc: {
-      const std::uint8_t d = reg(in.rd), r = reg(in.rr);
-      const std::uint8_t borrow = flag(kC);
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r - borrow);
-      set_reg(in.rd, res);
-      flags_sub(d, r, borrow, res, /*keep_z=*/true);
+    MAVR_FLASH_OPS(MAVR_CPU_FLASH)
+#undef MAVR_CPU_FLASH
+    case Op::Lds: isa::load_reg(data, ram_, in.rd, in.k); break;
+    case Op::Sts: isa::store_reg(data, ram_, in.rd, in.k); break;
+    case Op::In: isa::load_reg(data, ram_, in.rd, kIoBase + in.k); break;
+    case Op::Out: isa::store_reg(data, ram_, in.rd, kIoBase + in.k); break;
+    case Op::Sbi:
+    case Op::Cbi:
+      isa::write_io_bit(data, kIoBase + in.k, in.bit, in.op == Op::Sbi);
       break;
-    }
-    case Op::And: {
-      const std::uint8_t res = reg(in.rd) & reg(in.rr);
-      set_reg(in.rd, res);
-      flags_logic(res);
-      break;
-    }
-    case Op::Or: {
-      const std::uint8_t res = reg(in.rd) | reg(in.rr);
-      set_reg(in.rd, res);
-      flags_logic(res);
-      break;
-    }
-    case Op::Eor: {
-      const std::uint8_t res = reg(in.rd) ^ reg(in.rr);
-      set_reg(in.rd, res);
-      flags_logic(res);
-      break;
-    }
-    case Op::Mov:
-      set_reg(in.rd, reg(in.rr));
-      break;
-    case Op::Movw:
-      set_reg(in.rd, reg(in.rr));
-      set_reg(in.rd + 1, reg(in.rr + 1));
-      break;
-    case Op::Mul: {
-      const std::uint16_t res =
-          static_cast<std::uint16_t>(unsigned(reg(in.rd)) * reg(in.rr));
-      set_reg(0, static_cast<std::uint8_t>(res & 0xFF));
-      set_reg(1, static_cast<std::uint8_t>(res >> 8));
-      set_sreg(sreg_mul(sreg(), res));
-      cyc = 2;
-      break;
-    }
-    case Op::Cp: {
-      const std::uint8_t d = reg(in.rd), r = reg(in.rr);
-      flags_sub(d, r, 0, static_cast<std::uint8_t>(d - r), false);
-      break;
-    }
-    case Op::Cpc: {
-      const std::uint8_t d = reg(in.rd), r = reg(in.rr);
-      const std::uint8_t borrow = flag(kC);
-      flags_sub(d, r, borrow, static_cast<std::uint8_t>(d - r - borrow),
-                /*keep_z=*/true);
-      break;
-    }
-    case Op::Cpse: {
-      if (reg(in.rd) == reg(in.rr)) {
-        next = skip_target(next);
-        cyc = 2;
-      }
-      break;
-    }
-
-    // --- Immediate ALU -------------------------------------------------
-    case Op::Ldi:
-      set_reg(in.rd, static_cast<std::uint8_t>(in.k));
-      break;
-    case Op::Subi: {
-      const std::uint8_t d = reg(in.rd), r = static_cast<std::uint8_t>(in.k);
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r);
-      set_reg(in.rd, res);
-      flags_sub(d, r, 0, res, false);
-      break;
-    }
-    case Op::Sbci: {
-      const std::uint8_t d = reg(in.rd), r = static_cast<std::uint8_t>(in.k);
-      const std::uint8_t borrow = flag(kC);
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r - borrow);
-      set_reg(in.rd, res);
-      flags_sub(d, r, borrow, res, /*keep_z=*/true);
-      break;
-    }
-    case Op::Andi: {
-      const std::uint8_t res = reg(in.rd) & static_cast<std::uint8_t>(in.k);
-      set_reg(in.rd, res);
-      flags_logic(res);
-      break;
-    }
-    case Op::Ori: {
-      const std::uint8_t res = reg(in.rd) | static_cast<std::uint8_t>(in.k);
-      set_reg(in.rd, res);
-      flags_logic(res);
-      break;
-    }
-    case Op::Cpi: {
-      const std::uint8_t d = reg(in.rd), r = static_cast<std::uint8_t>(in.k);
-      flags_sub(d, r, 0, static_cast<std::uint8_t>(d - r), false);
-      break;
-    }
-
-    // --- One-register ALU ----------------------------------------------
-    case Op::Com: {
-      const std::uint8_t res = static_cast<std::uint8_t>(~reg(in.rd));
-      set_reg(in.rd, res);
-      set_sreg(sreg_com(sreg(), res));
-      break;
-    }
-    case Op::Neg: {
-      const std::uint8_t d = reg(in.rd);
-      const std::uint8_t res = static_cast<std::uint8_t>(0 - d);
-      set_reg(in.rd, res);
-      set_sreg(sreg_neg(sreg(), d, res));
-      break;
-    }
-    case Op::Inc: {
-      const std::uint8_t res = static_cast<std::uint8_t>(reg(in.rd) + 1);
-      set_reg(in.rd, res);
-      set_sreg(sreg_inc(sreg(), res));
-      break;
-    }
-    case Op::Dec: {
-      const std::uint8_t res = static_cast<std::uint8_t>(reg(in.rd) - 1);
-      set_reg(in.rd, res);
-      set_sreg(sreg_dec(sreg(), res));
-      break;
-    }
-    case Op::Swap: {
-      const std::uint8_t d = reg(in.rd);
-      set_reg(in.rd,
-              static_cast<std::uint8_t>((d << 4) | (d >> 4)));
-      break;
-    }
-    case Op::Asr: {
-      const std::uint8_t d = reg(in.rd);
-      const std::uint8_t res = static_cast<std::uint8_t>((d >> 1) | (d & 0x80));
-      set_reg(in.rd, res);
-      set_sreg(sreg_asr_ror(sreg(), d, res));
-      break;
-    }
-    case Op::Lsr: {
-      const std::uint8_t d = reg(in.rd);
-      const std::uint8_t res = static_cast<std::uint8_t>(d >> 1);
-      set_reg(in.rd, res);
-      set_sreg(sreg_lsr(sreg(), d, res));
-      break;
-    }
-    case Op::Ror: {
-      const std::uint8_t d = reg(in.rd);
-      const std::uint8_t res =
-          static_cast<std::uint8_t>((d >> 1) | (flag(kC) ? 0x80 : 0));
-      set_reg(in.rd, res);
-      set_sreg(sreg_asr_ror(sreg(), d, res));
-      break;
-    }
-    case Op::Adiw: {
-      const std::uint16_t d = reg_pair(in.rd);
-      const std::uint16_t res = static_cast<std::uint16_t>(d + in.k);
-      set_reg_pair(in.rd, res);
-      set_sreg(sreg_adiw(sreg(), d, res));
-      cyc = 2;
-      break;
-    }
-    case Op::Sbiw: {
-      const std::uint16_t d = reg_pair(in.rd);
-      const std::uint16_t res = static_cast<std::uint16_t>(d - in.k);
-      set_reg_pair(in.rd, res);
-      set_sreg(sreg_sbiw(sreg(), d, res));
-      cyc = 2;
-      break;
-    }
 
     // --- Control flow ---------------------------------------------------
     case Op::Rjmp:
-      next = (pc0 + 1 + static_cast<std::uint32_t>(in.target)) & pc_mask_;
-      cyc = 2;
-      break;
-    case Op::Rcall: {
-      const std::uint32_t ret = next;
-      push_pc(ret);
-      next = (pc0 + 1 + static_cast<std::uint32_t>(in.target)) & pc_mask_;
-      cyc = spec_.pc_push_bytes == 3 ? 4 : 3;
-      if constexpr (kTraced) tracer_->on_call(*this, pc0, next, ret);
-      break;
-    }
     case Op::Jmp:
-      next = static_cast<std::uint32_t>(in.target) & pc_mask_;
-      cyc = 3;
+      next = isa::static_target(in, pc0) & pc_mask_;
       break;
-    case Op::Call: {
-      const std::uint32_t ret = next;
-      push_pc(ret);
-      next = static_cast<std::uint32_t>(in.target) & pc_mask_;
-      cyc = spec_.pc_push_bytes == 3 ? 5 : 4;
-      if constexpr (kTraced) tracer_->on_call(*this, pc0, next, ret);
-      break;
-    }
-    case Op::Ijmp:
-      next = reg_pair(30) & pc_mask_;
-      cyc = 2;
-      break;
-    case Op::Icall: {
-      const std::uint32_t ret = next;
-      push_pc(ret);
-      next = reg_pair(30) & pc_mask_;
-      cyc = spec_.pc_push_bytes == 3 ? 4 : 3;
-      if constexpr (kTraced) tracer_->on_call(*this, pc0, next, ret);
-      break;
-    }
-    case Op::Eijmp:
-      next = ((static_cast<std::uint32_t>(data_.raw(kAddrEind)) << 16) |
-              reg_pair(30)) &
-             pc_mask_;
-      cyc = 2;
-      break;
+    case Op::Ijmp: next = isa::z_target(ram_) & pc_mask_; break;
+    case Op::Eijmp: next = isa::eind_target(ram_) & pc_mask_; break;
+    case Op::Rcall:
+    case Op::Call:
+    case Op::Icall:
     case Op::Eicall: {
       const std::uint32_t ret = next;
-      push_pc(ret);
-      next = ((static_cast<std::uint32_t>(data_.raw(kAddrEind)) << 16) |
-              reg_pair(30)) &
+      push_pc(ret);  // first: a push through a pivoted SP may rewrite Z
+      next = (in.op == Op::Icall    ? isa::z_target(ram_)
+              : in.op == Op::Eicall ? isa::eind_target(ram_)
+                                    : isa::static_target(in, pc0)) &
              pc_mask_;
-      cyc = 4;
       if constexpr (kTraced) tracer_->on_call(*this, pc0, next, ret);
       break;
     }
@@ -654,249 +275,31 @@ void Cpu::step_impl(std::uint64_t deadline, bool single) {
     case Op::Reti: {
       const std::uint32_t raw = pop_pc();
       next = raw & pc_mask_;
-      last_ret_raw_words_ = raw;
-      last_ret_wrapped_ = (raw & ~pc_mask_) != 0;
-      if (in.op == Op::Reti) set_flag(kI, true);
-      cyc = spec_.pc_push_bytes == 3 ? 5 : 4;
+      note_ret(raw);
+      if (in.op == Op::Reti) set_sreg(isa::reti_sreg(sreg()));
       if constexpr (kTraced) {
         tracer_->on_ret(*this, pc0, next, raw, in.op == Op::Reti);
       }
       break;
     }
     case Op::Brbs:
-      if (flag(static_cast<SregBit>(in.bit))) {
-        next = (pc0 + 1 + static_cast<std::uint32_t>(in.target)) & pc_mask_;
-        cyc = 2;
+    case Op::Brbc:
+      if (isa::bit_taken(in.op, sreg(), in.bit)) {
+        next = isa::rel_target(in, pc0) & pc_mask_;
+        ++cyc;
       }
       break;
-    case Op::Brbc:
-      if (!flag(static_cast<SregBit>(in.bit))) {
-        next = (pc0 + 1 + static_cast<std::uint32_t>(in.target)) & pc_mask_;
-        cyc = 2;
-      }
+    case Op::Cpse:
+      if (reg(in.rd) == reg(in.rr)) skip();
       break;
     case Op::Sbrc:
-      if (!((reg(in.rd) >> in.bit) & 1)) {
-        next = skip_target(next);
-        cyc = 2;
-      }
-      break;
     case Op::Sbrs:
-      if ((reg(in.rd) >> in.bit) & 1) {
-        next = skip_target(next);
-        cyc = 2;
-      }
+      if (isa::bit_taken(in.op, reg(in.rd), in.bit)) skip();
       break;
     case Op::Sbic:
-      if (!((load_mem<kTraced>(kIoBase + in.k) >> in.bit) & 1)) {
-        next = skip_target(next);
-        cyc = 2;
-      }
-      break;
     case Op::Sbis:
-      if ((load_mem<kTraced>(kIoBase + in.k) >> in.bit) & 1) {
-        next = skip_target(next);
-        cyc = 2;
-      }
+      if (isa::bit_taken(in.op, data.load(kIoBase + in.k), in.bit)) skip();
       break;
-
-    // --- Data transfer ---------------------------------------------------
-    case Op::Lds:
-      set_reg(in.rd, load_mem<kTraced>(in.k));
-      cyc = 2;
-      break;
-    case Op::Sts:
-      store_mem<kTraced>(in.k, reg(in.rd));
-      cyc = 2;
-      break;
-    case Op::LdX:
-      set_reg(in.rd, load_mem<kTraced>(reg_pair(26)));
-      cyc = 2;
-      break;
-    case Op::LdXInc: {
-      const std::uint16_t x = reg_pair(26);
-      set_reg(in.rd, load_mem<kTraced>(x));
-      set_reg_pair(26, static_cast<std::uint16_t>(x + 1));
-      cyc = 2;
-      break;
-    }
-    case Op::LdXDec: {
-      const std::uint16_t x = static_cast<std::uint16_t>(reg_pair(26) - 1);
-      set_reg_pair(26, x);
-      set_reg(in.rd, load_mem<kTraced>(x));
-      cyc = 2;
-      break;
-    }
-    case Op::LdYInc: {
-      const std::uint16_t y = reg_pair(28);
-      set_reg(in.rd, load_mem<kTraced>(y));
-      set_reg_pair(28, static_cast<std::uint16_t>(y + 1));
-      cyc = 2;
-      break;
-    }
-    case Op::LdYDec: {
-      const std::uint16_t y = static_cast<std::uint16_t>(reg_pair(28) - 1);
-      set_reg_pair(28, y);
-      set_reg(in.rd, load_mem<kTraced>(y));
-      cyc = 2;
-      break;
-    }
-    case Op::LddY:
-      set_reg(in.rd, load_mem<kTraced>(static_cast<std::uint16_t>(reg_pair(28) + in.k)));
-      cyc = 2;
-      break;
-    case Op::LdZInc: {
-      const std::uint16_t z = reg_pair(30);
-      set_reg(in.rd, load_mem<kTraced>(z));
-      set_reg_pair(30, static_cast<std::uint16_t>(z + 1));
-      cyc = 2;
-      break;
-    }
-    case Op::LdZDec: {
-      const std::uint16_t z = static_cast<std::uint16_t>(reg_pair(30) - 1);
-      set_reg_pair(30, z);
-      set_reg(in.rd, load_mem<kTraced>(z));
-      cyc = 2;
-      break;
-    }
-    case Op::LddZ:
-      set_reg(in.rd, load_mem<kTraced>(static_cast<std::uint16_t>(reg_pair(30) + in.k)));
-      cyc = 2;
-      break;
-    case Op::StX:
-      store_mem<kTraced>(reg_pair(26), reg(in.rd));
-      cyc = 2;
-      break;
-    case Op::StXInc: {
-      const std::uint16_t x = reg_pair(26);
-      store_mem<kTraced>(x, reg(in.rd));
-      set_reg_pair(26, static_cast<std::uint16_t>(x + 1));
-      cyc = 2;
-      break;
-    }
-    case Op::StXDec: {
-      const std::uint16_t x = static_cast<std::uint16_t>(reg_pair(26) - 1);
-      set_reg_pair(26, x);
-      store_mem<kTraced>(x, reg(in.rd));
-      cyc = 2;
-      break;
-    }
-    case Op::StYInc: {
-      const std::uint16_t y = reg_pair(28);
-      store_mem<kTraced>(y, reg(in.rd));
-      set_reg_pair(28, static_cast<std::uint16_t>(y + 1));
-      cyc = 2;
-      break;
-    }
-    case Op::StYDec: {
-      const std::uint16_t y = static_cast<std::uint16_t>(reg_pair(28) - 1);
-      set_reg_pair(28, y);
-      store_mem<kTraced>(y, reg(in.rd));
-      cyc = 2;
-      break;
-    }
-    case Op::StdY:
-      store_mem<kTraced>(static_cast<std::uint16_t>(reg_pair(28) + in.k), reg(in.rd));
-      cyc = 2;
-      break;
-    case Op::StZInc: {
-      const std::uint16_t z = reg_pair(30);
-      store_mem<kTraced>(z, reg(in.rd));
-      set_reg_pair(30, static_cast<std::uint16_t>(z + 1));
-      cyc = 2;
-      break;
-    }
-    case Op::StZDec: {
-      const std::uint16_t z = static_cast<std::uint16_t>(reg_pair(30) - 1);
-      set_reg_pair(30, z);
-      store_mem<kTraced>(z, reg(in.rd));
-      cyc = 2;
-      break;
-    }
-    case Op::StdZ:
-      store_mem<kTraced>(static_cast<std::uint16_t>(reg_pair(30) + in.k), reg(in.rd));
-      cyc = 2;
-      break;
-    case Op::LpmR0:
-      set_reg(0, flash_.byte(reg_pair(30)));
-      cyc = 3;
-      break;
-    case Op::Lpm:
-      set_reg(in.rd, flash_.byte(reg_pair(30)));
-      cyc = 3;
-      break;
-    case Op::LpmInc: {
-      const std::uint16_t z = reg_pair(30);
-      set_reg(in.rd, flash_.byte(z));
-      set_reg_pair(30, static_cast<std::uint16_t>(z + 1));
-      cyc = 3;
-      break;
-    }
-    case Op::ElpmR0:
-    case Op::Elpm:
-    case Op::ElpmInc: {
-      const std::uint32_t z =
-          (static_cast<std::uint32_t>(data_.raw(kAddrRampz)) << 16) |
-          reg_pair(30);
-      const std::uint8_t dest = (in.op == Op::ElpmR0) ? 0 : in.rd;
-      set_reg(dest, flash_.byte(z));
-      if (in.op == Op::ElpmInc) {
-        const std::uint32_t z1 = z + 1;
-        set_reg_pair(30, static_cast<std::uint16_t>(z1 & 0xFFFF));
-        data_.set_raw(kAddrRampz, static_cast<std::uint8_t>((z1 >> 16) & 0xFF));
-      }
-      cyc = 3;
-      break;
-    }
-    case Op::In:
-      set_reg(in.rd, load_mem<kTraced>(kIoBase + in.k));
-      break;
-    case Op::Out:
-      store_mem<kTraced>(kIoBase + in.k, reg(in.rd));
-      break;
-    case Op::Push:
-      push_byte(reg(in.rd));
-      cyc = 2;
-      break;
-    case Op::Pop:
-      set_reg(in.rd, pop_byte());
-      cyc = 2;
-      break;
-
-    // --- Bit operations ---------------------------------------------------
-    case Op::Sbi: {
-      const std::uint32_t addr = kIoBase + in.k;
-      store_mem<kTraced>(addr, static_cast<std::uint8_t>(load_mem<kTraced>(addr) |
-                                                  (1u << in.bit)));
-      cyc = 2;
-      break;
-    }
-    case Op::Cbi: {
-      const std::uint32_t addr = kIoBase + in.k;
-      store_mem<kTraced>(addr, static_cast<std::uint8_t>(load_mem<kTraced>(addr) &
-                                                  ~(1u << in.bit)));
-      cyc = 2;
-      break;
-    }
-    case Op::Bset:
-      set_flag(static_cast<SregBit>(in.bit), true);
-      break;
-    case Op::Bclr:
-      set_flag(static_cast<SregBit>(in.bit), false);
-      break;
-    case Op::Bst:
-      set_flag(kT, (reg(in.rd) >> in.bit) & 1);
-      break;
-    case Op::Bld: {
-      std::uint8_t d = reg(in.rd);
-      if (flag(kT)) {
-        d |= static_cast<std::uint8_t>(1u << in.bit);
-      } else {
-        d &= static_cast<std::uint8_t>(~(1u << in.bit));
-      }
-      set_reg(in.rd, d);
-      break;
-    }
   }
 
   if constexpr (kTraced) {
@@ -1063,6 +466,13 @@ std::uint64_t Cpu::run(std::uint64_t cycle_budget) {
     term_cyc = 1;                                                  \
   }
 
+// GCC's cross-jumping would merge the identical dispatch tails of the
+// table-generated handlers into a few shared indirect jumps, taking away
+// the per-opcode jump sites MAVR_TIER_NEXT exists for (with it on, GCC
+// leaves 18 indirect jumps in this function instead of ~100).
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-crossjumping")))
+#endif
 void Cpu::run_tier(std::uint64_t deadline) {
   if (state_ != CpuState::Running) return;
 
@@ -1078,6 +488,7 @@ void Cpu::run_tier(std::uint64_t deadline) {
   const std::uint32_t data_size = data_size_;
   const std::uint32_t ram_span = data_size_ - kExtIoEnd;
   const unsigned push_n = push_bytes_;
+  const isa::RamPort plain{ram};
 
   // Cache geometry, also hoisted: the map pointer is stable for the whole
   // run (sync() sizes it once; translate() never resizes it), the epoch
@@ -1205,247 +616,59 @@ void Cpu::run_tier(std::uint64_t deadline) {
       };
 
       static const void* const kJump[] = {
-          &&L_Add, &&L_Adc, &&L_Sub, &&L_Sbc, &&L_And, &&L_Or, &&L_Eor,
-          &&L_Mov, &&L_Movw, &&L_Mul, &&L_Cp, &&L_Cpc, &&L_Ldi, &&L_Subi,
-          &&L_Sbci, &&L_Andi, &&L_Ori, &&L_Cpi, &&L_Com, &&L_Neg, &&L_Inc,
-          &&L_Dec, &&L_Swap, &&L_Asr, &&L_Lsr, &&L_Ror, &&L_Adiw, &&L_Sbiw,
-          &&L_Bset, &&L_Bclr, &&L_Bst, &&L_Bld, &&L_Nop, &&L_LdsRam,
-          &&L_StsRam, &&L_LdsLow, &&L_StsLow, &&L_LdsSreg, &&L_In,
-          &&L_InSreg, &&L_Out, &&L_Sbi, &&L_Cbi, &&L_LdX, &&L_LdXInc,
-          &&L_LdXDec, &&L_LdYInc, &&L_LdYDec, &&L_LddY, &&L_LdZInc,
-          &&L_LdZDec, &&L_LddZ, &&L_StX, &&L_StXInc, &&L_StXDec,
-          &&L_StYInc, &&L_StYDec, &&L_StdY, &&L_StZInc, &&L_StZDec,
-          &&L_StdZ, &&L_LpmR0, &&L_Lpm, &&L_LpmInc, &&L_ElpmR0, &&L_Elpm,
-          &&L_ElpmInc, &&L_Push, &&L_Pop, &&L_CallPush, &&L_Lds2, &&L_Sts2,
-          &&L_Ldi2, &&L_LdiAdd, &&L_LdsAdd, &&L_LdsSub, &&L_AddSts,
-          &&L_RorLdi, &&L_AddAdc, &&L_AddAdd, &&L_SubSbc, &&L_SubiSbci,
-          &&L_AsrRor, &&L_RorAsr, &&L_LdsSts, &&L_StsLds, &&L_CondBrbs,
-          &&L_CondBrbc, &&L_CondCpse, &&L_CondSbrc, &&L_CondSbrs,
-          &&L_CondSbic, &&L_CondSbis, &&L_CondRet, &&L_TermIjmp, &&L_TermEijmp,
-          &&L_TermIcall, &&L_TermEicall, &&L_TermRet, &&L_TermReti,
-          &&L_TermBsetI, &&L_TermOutSreg, &&L_TermFall,
+#define MAVR_TIER_LABEL(name, ...) &&L_##name,
+          MAVR_TIER_KINDS(MAVR_TIER_LABEL)
+#undef MAVR_TIER_LABEL
       };
       static_assert(sizeof(kJump) / sizeof(kJump[0]) == kTierOpKinds,
                     "dispatch table must cover every TierOpKind");
     exec_entry:
       goto* kJump[static_cast<std::size_t>(op->kind)];
 
-    // --- ALU -----------------------------------------------------------
-    L_Add: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      const std::uint8_t res = static_cast<std::uint8_t>(d + r);
-      ram[op->a] = res;
-      sreg = sreg_add(sreg, d, r, res);
-    }
+    // --- register ops and plain-RAM moves: the shared semantics ---------
+#define MAVR_TIER_REG(name, ...)                     \
+    L_##name:                                        \
+      isa::name(ram, sreg, op->a, op->b, op->k);     \
       MAVR_TIER_NEXT();
-    L_Adc: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      const std::uint8_t carry = sreg & 1;
-      const std::uint8_t res = static_cast<std::uint8_t>(d + r + carry);
-      ram[op->a] = res;
-      sreg = sreg_add(sreg, d, r, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Sub: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r);
-      ram[op->a] = res;
-      sreg = sreg_sub(sreg, d, r, res, /*keep_z=*/false);
-    }
-      MAVR_TIER_NEXT();
-    L_Sbc: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      const std::uint8_t borrow = sreg & 1;
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r - borrow);
-      ram[op->a] = res;
-      sreg = sreg_sub(sreg, d, r, res, /*keep_z=*/true);
-    }
-      MAVR_TIER_NEXT();
-    L_And: {
-      const std::uint8_t res = ram[op->a] & ram[op->b];
-      ram[op->a] = res;
-      sreg = sreg_logic(sreg, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Or: {
-      const std::uint8_t res = ram[op->a] | ram[op->b];
-      ram[op->a] = res;
-      sreg = sreg_logic(sreg, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Eor: {
-      const std::uint8_t res = ram[op->a] ^ ram[op->b];
-      ram[op->a] = res;
-      sreg = sreg_logic(sreg, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Mov:
-      ram[op->a] = ram[op->b];
-      MAVR_TIER_NEXT();
-    L_Movw:
-      ram[op->a] = ram[op->b];
-      ram[op->a + 1] = ram[op->b + 1];
-      MAVR_TIER_NEXT();
-    L_Mul: {
-      const std::uint16_t res =
-          static_cast<std::uint16_t>(unsigned(ram[op->a]) * ram[op->b]);
-      ram[0] = static_cast<std::uint8_t>(res & 0xFF);
-      ram[1] = static_cast<std::uint8_t>(res >> 8);
-      sreg = sreg_mul(sreg, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Cp: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      sreg = sreg_sub(sreg, d, r, static_cast<std::uint8_t>(d - r), false);
-    }
-      MAVR_TIER_NEXT();
-    L_Cpc: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      const std::uint8_t borrow = sreg & 1;
-      sreg = sreg_sub(sreg, d, r,
-                      static_cast<std::uint8_t>(d - r - borrow),
-                      /*keep_z=*/true);
-    }
-      MAVR_TIER_NEXT();
-    L_Ldi:
-      ram[op->a] = static_cast<std::uint8_t>(op->k);
-      MAVR_TIER_NEXT();
-    L_Subi: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t r = static_cast<std::uint8_t>(op->k);
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r);
-      ram[op->a] = res;
-      sreg = sreg_sub(sreg, d, r, res, false);
-    }
-      MAVR_TIER_NEXT();
-    L_Sbci: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t r = static_cast<std::uint8_t>(op->k);
-      const std::uint8_t borrow = sreg & 1;
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r - borrow);
-      ram[op->a] = res;
-      sreg = sreg_sub(sreg, d, r, res, /*keep_z=*/true);
-    }
-      MAVR_TIER_NEXT();
-    L_Andi: {
-      const std::uint8_t res = ram[op->a] & static_cast<std::uint8_t>(op->k);
-      ram[op->a] = res;
-      sreg = sreg_logic(sreg, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Ori: {
-      const std::uint8_t res = ram[op->a] | static_cast<std::uint8_t>(op->k);
-      ram[op->a] = res;
-      sreg = sreg_logic(sreg, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Cpi: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t r = static_cast<std::uint8_t>(op->k);
-      sreg = sreg_sub(sreg, d, r, static_cast<std::uint8_t>(d - r), false);
-    }
-      MAVR_TIER_NEXT();
-    L_Com: {
-      const std::uint8_t res = static_cast<std::uint8_t>(~ram[op->a]);
-      ram[op->a] = res;
-      sreg = sreg_com(sreg, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Neg: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t res = static_cast<std::uint8_t>(0 - d);
-      ram[op->a] = res;
-      sreg = sreg_neg(sreg, d, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Inc: {
-      const std::uint8_t res = static_cast<std::uint8_t>(ram[op->a] + 1);
-      ram[op->a] = res;
-      sreg = sreg_inc(sreg, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Dec: {
-      const std::uint8_t res = static_cast<std::uint8_t>(ram[op->a] - 1);
-      ram[op->a] = res;
-      sreg = sreg_dec(sreg, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Swap: {
-      const std::uint8_t d = ram[op->a];
-      ram[op->a] = static_cast<std::uint8_t>((d << 4) | (d >> 4));
-    }
-      MAVR_TIER_NEXT();
-    L_Asr: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t res =
-          static_cast<std::uint8_t>((d >> 1) | (d & 0x80));
-      ram[op->a] = res;
-      sreg = sreg_asr_ror(sreg, d, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Lsr: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t res = static_cast<std::uint8_t>(d >> 1);
-      ram[op->a] = res;
-      sreg = sreg_lsr(sreg, d, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Ror: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t res =
-          static_cast<std::uint8_t>((d >> 1) | ((sreg & 1) ? 0x80 : 0));
-      ram[op->a] = res;
-      sreg = sreg_asr_ror(sreg, d, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Adiw: {
-      const std::uint16_t d =
-          static_cast<std::uint16_t>(ram[op->a] | (ram[op->a + 1] << 8));
-      const std::uint16_t res = static_cast<std::uint16_t>(d + op->k);
-      ram[op->a] = static_cast<std::uint8_t>(res & 0xFF);
-      ram[op->a + 1] = static_cast<std::uint8_t>(res >> 8);
-      sreg = sreg_adiw(sreg, d, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Sbiw: {
-      const std::uint16_t d =
-          static_cast<std::uint16_t>(ram[op->a] | (ram[op->a + 1] << 8));
-      const std::uint16_t res = static_cast<std::uint16_t>(d - op->k);
-      ram[op->a] = static_cast<std::uint8_t>(res & 0xFF);
-      ram[op->a + 1] = static_cast<std::uint8_t>(res >> 8);
-      sreg = sreg_sbiw(sreg, d, res);
-    }
-      MAVR_TIER_NEXT();
-    L_Bset:  // never bit I (that encoding terminates the block)
-      sreg |= static_cast<std::uint8_t>(1u << op->b);
-      MAVR_TIER_NEXT();
-    L_Bclr:
-      sreg &= static_cast<std::uint8_t>(~(1u << op->b));
-      MAVR_TIER_NEXT();
-    L_Bst:
-      sreg = static_cast<std::uint8_t>(
-          (sreg & ~fb(kT)) | (((ram[op->a] >> op->b) & 1u) << kT));
-      MAVR_TIER_NEXT();
-    L_Bld: {
-      std::uint8_t d = ram[op->a];
-      if (sreg & fb(kT)) {
-        d |= static_cast<std::uint8_t>(1u << op->b);
-      } else {
-        d &= static_cast<std::uint8_t>(~(1u << op->b));
-      }
-      ram[op->a] = d;
-    }
-      MAVR_TIER_NEXT();
-    L_Nop:
-      MAVR_TIER_NEXT();
+      MAVR_REG_OPS(MAVR_TIER_REG)
+      MAVR_TIER_REG(LdsRam)
+      MAVR_TIER_REG(StsRam)
+#undef MAVR_TIER_REG
 
-    // --- static-address data transfer ----------------------------------
-    L_LdsRam:
-      ram[op->a] = ram[op->k];
+    // --- fused pairs: the two halves' semantics back to back, the second
+    // half's operands read from the next slot (which dispatch then skips).
+#define MAVR_TIER_FUSED(fused, first, second)         \
+    L_##fused:                                        \
+      isa::first(ram, sreg, op->a, op->b, op->k);     \
+      ++op;                                           \
+      isa::second(ram, sreg, op->a, op->b, op->k);    \
       MAVR_TIER_NEXT();
-    L_StsRam:
-      ram[op->k] = ram[op->a];
+      MAVR_FUSED_PAIRS(MAVR_TIER_FUSED)
+#undef MAVR_TIER_FUSED
+
+    // --- pointer-addressed transfer, PUSH/POP ----------------------------
+    // Address computed first, then guarded against the plain-RAM window
+    // [kExtIoEnd, data_size): anything below (register file, I/O, SP/SREG
+    // aliasing) or wrapping side-exits before architectural state moves.
+#define MAVR_TIER_PTR(name, cyc, ptr, mode, store, port)                  \
+    L_##name: {                                                           \
+      const std::uint32_t a =                                             \
+          isa::ptr_addr<ptr, isa::PtrMode::mode>(ram, op->k);             \
+      if (a - kExtIoEnd >= ram_span) goto side_exit;                      \
+      isa::ptr_access<ptr, isa::PtrMode::mode, store>(                    \
+          plain, ram, op->a, static_cast<std::uint16_t>(a));              \
+    }                                                                     \
       MAVR_TIER_NEXT();
+      MAVR_PTR_OPS(MAVR_TIER_PTR)
+#undef MAVR_TIER_PTR
+#define MAVR_TIER_FLASH(name, cyc, ext, r0, inc)                \
+    L_##name:                                                   \
+      isa::flash_load<ext, r0, inc>(ram, flash_, op->a);        \
+      MAVR_TIER_NEXT();
+      MAVR_FLASH_OPS(MAVR_TIER_FLASH)
+#undef MAVR_TIER_FLASH
+
+    // --- static-address access in the I/O region ------------------------
     // Device-dispatched access: perform it through the full bus path and
     // retire this op as the block's last — the subsequent block_done runs
     // the interpreter's exact post-instruction sequence (set_now, tick on
@@ -1453,646 +676,123 @@ void Cpu::run_tier(std::uint64_t deadline) {
     // or raises the hint is observed at the same boundary it would be
     // under single-stepping. `dispatch_at` publishes the clock the
     // interpreter's handlers would read (set after the *previous*
-    // instruction) and syncs members for exception context.
+    // instruction) and syncs members for exception context. `effect`
+    // names its memory port `port`: the bus here, plain RAM otherwise.
+#define MAVR_TIER_IO(handles, effect)                                     \
+      if (disp[op->k] & (handles)) [[unlikely]] {                         \
+        MAVR_TIER_IO_CALL({                                               \
+          DataMemory& port = data_;                                       \
+          effect;                                                         \
+        });                                                               \
+        goto exit_taken;                                                  \
+      }                                                                   \
+      {                                                                   \
+        const isa::RamPort& port = plain;                                 \
+        effect;                                                           \
+      }                                                                   \
+      MAVR_TIER_NEXT()
     L_LdsLow:
-      if (disp[op->k] & IoBus::kHandlesRead) [[unlikely]] {
-        MAVR_TIER_IO_CALL(ram[op->a] = data_.load(op->k));
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
-      ram[op->a] = ram[op->k];
-      MAVR_TIER_NEXT();
+      MAVR_TIER_IO(IoBus::kHandlesRead,
+                   isa::load_reg(port, ram, op->a, op->k));
     L_StsLow:
-      if (disp[op->k] & IoBus::kHandlesWrite) [[unlikely]] {
-        MAVR_TIER_IO_CALL(data_.store(op->k, ram[op->a]));
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
-      ram[op->k] = ram[op->a];
-      MAVR_TIER_NEXT();
+      MAVR_TIER_IO(IoBus::kHandlesWrite,
+                   isa::store_reg(port, ram, op->a, op->k));
+    L_Sbi:
+      // The interpreter performs a dispatched load *and* store; route
+      // both through the bus if a device handles either side.
+      MAVR_TIER_IO(IoBus::kHandlesRead | IoBus::kHandlesWrite,
+                   isa::write_io_bit(port, op->k, op->b, true));
+    L_Cbi:
+      MAVR_TIER_IO(IoBus::kHandlesRead | IoBus::kHandlesWrite,
+                   isa::write_io_bit(port, op->k, op->b, false));
+#undef MAVR_TIER_IO
     L_LdsSreg:
       if (disp[op->k] & IoBus::kHandlesRead) goto side_exit;
       ram[op->a] = sreg;  // the live value; ram[0x5F] may be stale in-block
       MAVR_TIER_NEXT();
-    L_In:
-      if (disp[op->k] & IoBus::kHandlesRead) [[unlikely]] {
-        MAVR_TIER_IO_CALL(ram[op->a] = data_.load(op->k));
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
-      ram[op->a] = ram[op->k];
-      MAVR_TIER_NEXT();
-    L_InSreg:
-      if (disp[op->k] & IoBus::kHandlesRead) goto side_exit;
-      ram[op->a] = sreg;
-      MAVR_TIER_NEXT();
-    L_Out:
-      if (disp[op->k] & IoBus::kHandlesWrite) [[unlikely]] {
-        MAVR_TIER_IO_CALL(data_.store(op->k, ram[op->a]));
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
-      ram[op->k] = ram[op->a];
-      MAVR_TIER_NEXT();
-    L_Sbi:
-      // The interpreter performs a dispatched load *and* store; route
-      // both through the bus if a device handles either side.
-      if (disp[op->k] & (IoBus::kHandlesRead | IoBus::kHandlesWrite))
-          [[unlikely]] {
-        MAVR_TIER_IO_CALL(data_.store(
-            op->k,
-            static_cast<std::uint8_t>(data_.load(op->k) | (1u << op->b))));
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
-      ram[op->k] |= static_cast<std::uint8_t>(1u << op->b);
-      MAVR_TIER_NEXT();
-    L_Cbi:
-      if (disp[op->k] & (IoBus::kHandlesRead | IoBus::kHandlesWrite))
-          [[unlikely]] {
-        MAVR_TIER_IO_CALL(data_.store(
-            op->k,
-            static_cast<std::uint8_t>(data_.load(op->k) & ~(1u << op->b))));
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
-      ram[op->k] &= static_cast<std::uint8_t>(~(1u << op->b));
-      MAVR_TIER_NEXT();
-
-    // --- pointer-addressed data transfer -------------------------------
-    // Address computed first, then guarded against the plain-RAM window
-    // [kExtIoEnd, data_size): anything below (register file, I/O, SP/SREG
-    // aliasing) or wrapping side-exits before architectural state moves.
-    L_LdX: {
-      const std::uint32_t a =
-          static_cast<std::uint16_t>(ram[26] | (ram[27] << 8));
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[op->a] = ram[a];
-    }
-      MAVR_TIER_NEXT();
-    L_LdXInc: {
-      const std::uint32_t a =
-          static_cast<std::uint16_t>(ram[26] | (ram[27] << 8));
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[op->a] = ram[a];
-      const std::uint16_t p = static_cast<std::uint16_t>(a + 1);
-      ram[26] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[27] = static_cast<std::uint8_t>(p >> 8);
-    }
-      MAVR_TIER_NEXT();
-    L_LdXDec: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[26] | (ram[27] << 8)) - 1);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[26] = static_cast<std::uint8_t>(a & 0xFF);
-      ram[27] = static_cast<std::uint8_t>(a >> 8);
-      ram[op->a] = ram[a];
-    }
-      MAVR_TIER_NEXT();
-    L_LdYInc: {
-      const std::uint32_t a =
-          static_cast<std::uint16_t>(ram[28] | (ram[29] << 8));
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[op->a] = ram[a];
-      const std::uint16_t p = static_cast<std::uint16_t>(a + 1);
-      ram[28] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[29] = static_cast<std::uint8_t>(p >> 8);
-    }
-      MAVR_TIER_NEXT();
-    L_LdYDec: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[28] | (ram[29] << 8)) - 1);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[28] = static_cast<std::uint8_t>(a & 0xFF);
-      ram[29] = static_cast<std::uint8_t>(a >> 8);
-      ram[op->a] = ram[a];
-    }
-      MAVR_TIER_NEXT();
-    L_LddY: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[28] | (ram[29] << 8)) + op->k);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[op->a] = ram[a];
-    }
-      MAVR_TIER_NEXT();
-    L_LdZInc: {
-      const std::uint32_t a =
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8));
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[op->a] = ram[a];
-      const std::uint16_t p = static_cast<std::uint16_t>(a + 1);
-      ram[30] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[31] = static_cast<std::uint8_t>(p >> 8);
-    }
-      MAVR_TIER_NEXT();
-    L_LdZDec: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8)) - 1);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[30] = static_cast<std::uint8_t>(a & 0xFF);
-      ram[31] = static_cast<std::uint8_t>(a >> 8);
-      ram[op->a] = ram[a];
-    }
-      MAVR_TIER_NEXT();
-    L_LddZ: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8)) + op->k);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[op->a] = ram[a];
-    }
-      MAVR_TIER_NEXT();
-    L_StX: {
-      const std::uint32_t a =
-          static_cast<std::uint16_t>(ram[26] | (ram[27] << 8));
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[a] = ram[op->a];
-    }
-      MAVR_TIER_NEXT();
-    L_StXInc: {
-      const std::uint32_t a =
-          static_cast<std::uint16_t>(ram[26] | (ram[27] << 8));
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[a] = ram[op->a];
-      const std::uint16_t p = static_cast<std::uint16_t>(a + 1);
-      ram[26] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[27] = static_cast<std::uint8_t>(p >> 8);
-    }
-      MAVR_TIER_NEXT();
-    L_StXDec: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[26] | (ram[27] << 8)) - 1);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[26] = static_cast<std::uint8_t>(a & 0xFF);
-      ram[27] = static_cast<std::uint8_t>(a >> 8);
-      ram[a] = ram[op->a];  // pointer updated first, like the interpreter
-    }
-      MAVR_TIER_NEXT();
-    L_StYInc: {
-      const std::uint32_t a =
-          static_cast<std::uint16_t>(ram[28] | (ram[29] << 8));
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[a] = ram[op->a];
-      const std::uint16_t p = static_cast<std::uint16_t>(a + 1);
-      ram[28] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[29] = static_cast<std::uint8_t>(p >> 8);
-    }
-      MAVR_TIER_NEXT();
-    L_StYDec: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[28] | (ram[29] << 8)) - 1);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[28] = static_cast<std::uint8_t>(a & 0xFF);
-      ram[29] = static_cast<std::uint8_t>(a >> 8);
-      ram[a] = ram[op->a];
-    }
-      MAVR_TIER_NEXT();
-    L_StdY: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[28] | (ram[29] << 8)) + op->k);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[a] = ram[op->a];
-    }
-      MAVR_TIER_NEXT();
-    L_StZInc: {
-      const std::uint32_t a =
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8));
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[a] = ram[op->a];
-      const std::uint16_t p = static_cast<std::uint16_t>(a + 1);
-      ram[30] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[31] = static_cast<std::uint8_t>(p >> 8);
-    }
-      MAVR_TIER_NEXT();
-    L_StZDec: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8)) - 1);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[30] = static_cast<std::uint8_t>(a & 0xFF);
-      ram[31] = static_cast<std::uint8_t>(a >> 8);
-      ram[a] = ram[op->a];
-    }
-      MAVR_TIER_NEXT();
-    L_StdZ: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8)) + op->k);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[a] = ram[op->a];
-    }
-      MAVR_TIER_NEXT();
-    L_LpmR0:
-      ram[0] = flash_.byte(
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8)));
-      MAVR_TIER_NEXT();
-    L_Lpm:
-      ram[op->a] = flash_.byte(
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8)));
-      MAVR_TIER_NEXT();
-    L_LpmInc: {
-      const std::uint16_t z =
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8));
-      ram[op->a] = flash_.byte(z);
-      const std::uint16_t p = static_cast<std::uint16_t>(z + 1);
-      ram[30] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[31] = static_cast<std::uint8_t>(p >> 8);
-    }
-      MAVR_TIER_NEXT();
-    L_ElpmR0: {
-      const std::uint32_t z =
-          (static_cast<std::uint32_t>(ram[kAddrRampz]) << 16) |
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8));
-      ram[0] = flash_.byte(z);
-    }
-      MAVR_TIER_NEXT();
-    L_Elpm: {
-      const std::uint32_t z =
-          (static_cast<std::uint32_t>(ram[kAddrRampz]) << 16) |
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8));
-      ram[op->a] = flash_.byte(z);
-    }
-      MAVR_TIER_NEXT();
-    L_ElpmInc: {
-      const std::uint32_t z =
-          (static_cast<std::uint32_t>(ram[kAddrRampz]) << 16) |
-          static_cast<std::uint16_t>(ram[30] | (ram[31] << 8));
-      ram[op->a] = flash_.byte(z);
-      const std::uint32_t z1 = z + 1;
-      ram[30] = static_cast<std::uint8_t>(z1 & 0xFF);
-      ram[31] = static_cast<std::uint8_t>((z1 >> 8) & 0xFF);
-      ram[kAddrRampz] = static_cast<std::uint8_t>((z1 >> 16) & 0xFF);
-    }
-      MAVR_TIER_NEXT();
-    L_Push: {
-      const std::uint32_t sp_now =
-          static_cast<std::uint16_t>(ram[kAddrSpl] | (ram[kAddrSph] << 8));
-      if (sp_now - kExtIoEnd >= ram_span) goto side_exit;
-      ram[sp_now] = ram[op->a];
-      const std::uint16_t p = static_cast<std::uint16_t>(sp_now - 1);
-      ram[kAddrSpl] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[kAddrSph] = static_cast<std::uint8_t>(p >> 8);
-    }
-      MAVR_TIER_NEXT();
-    L_Pop: {
-      const std::uint32_t a = static_cast<std::uint16_t>(
-          static_cast<std::uint16_t>(ram[kAddrSpl] | (ram[kAddrSph] << 8)) +
-          1);
-      if (a - kExtIoEnd >= ram_span) goto side_exit;
-      ram[kAddrSpl] = static_cast<std::uint8_t>(a & 0xFF);
-      ram[kAddrSph] = static_cast<std::uint8_t>(a >> 8);
-      ram[op->a] = ram[a];
-    }
-      MAVR_TIER_NEXT();
 
     // --- followed static call: push and keep executing ------------------
-    L_CallPush: {
-      const std::uint32_t sp_now =
-          static_cast<std::uint16_t>(ram[kAddrSpl] | (ram[kAddrSph] << 8));
-      if (sp_now < kExtIoEnd + (push_n - 1) || sp_now >= data_size) {
-        goto side_exit;
-      }
-      const std::uint32_t ret = op->target2;
-      ram[sp_now] = static_cast<std::uint8_t>(ret & 0xFF);
-      ram[sp_now - 1] = static_cast<std::uint8_t>((ret >> 8) & 0xFF);
-      if (push_n == 3) {
-        ram[sp_now - 2] = static_cast<std::uint8_t>((ret >> 16) & 0xFF);
-      }
-      const std::uint16_t p = static_cast<std::uint16_t>(sp_now - push_n);
-      ram[kAddrSpl] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[kAddrSph] = static_cast<std::uint8_t>(p >> 8);
-    }
-      MAVR_TIER_NEXT();
-
-    // --- fused pairs ----------------------------------------------------
-    // Each retires two instructions in one dispatch (ins_before prefix
-    // sums account for that). Operand packing is documented at the
-    // translator's fuse(); flag work for the first half is skipped
-    // whenever the second half provably overwrites it (only the carry —
-    // and for SBC-likes the Z gate — survives the boundary).
-    L_Lds2:
-      ram[op->a] = ram[op->k];
-      ram[op->b] = ram[op->target];
-      MAVR_TIER_NEXT();
-    L_Sts2:
-      ram[op->k] = ram[op->a];
-      ram[op->target] = ram[op->b];
-      MAVR_TIER_NEXT();
-    L_Ldi2:
-      ram[op->a] = static_cast<std::uint8_t>(op->k);
-      ram[op->b] = static_cast<std::uint8_t>(op->target);
-      MAVR_TIER_NEXT();
-    L_LdiAdd: {
-      ram[op->a] = static_cast<std::uint8_t>(op->k);
-      const std::uint8_t d = ram[op->b], r = ram[op->target];
-      const std::uint8_t res = static_cast<std::uint8_t>(d + r);
-      ram[op->b] = res;
-      sreg = sreg_add(sreg, d, r, res);
-    }
-      MAVR_TIER_NEXT();
-    L_LdsAdd: {
-      ram[op->a] = ram[op->k];
-      const std::uint8_t d = ram[op->b], r = ram[op->target];
-      const std::uint8_t res = static_cast<std::uint8_t>(d + r);
-      ram[op->b] = res;
-      sreg = sreg_add(sreg, d, r, res);
-    }
-      MAVR_TIER_NEXT();
-    L_LdsSub: {
-      ram[op->a] = ram[op->k];
-      const std::uint8_t d = ram[op->b], r = ram[op->target];
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r);
-      ram[op->b] = res;
-      sreg = sreg_sub(sreg, d, r, res, /*keep_z=*/false);
-    }
-      MAVR_TIER_NEXT();
-    L_AddSts: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      const std::uint8_t res = static_cast<std::uint8_t>(d + r);
-      ram[op->a] = res;
-      sreg = sreg_add(sreg, d, r, res);
-      ram[op->k] = ram[op->target];  // STS source may be the ADD's dest
-    }
-      MAVR_TIER_NEXT();
-    L_RorLdi: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t res =
-          static_cast<std::uint8_t>((d >> 1) | ((sreg & 1) ? 0x80 : 0));
-      ram[op->a] = res;
-      sreg = sreg_asr_ror(sreg, d, res);  // LDI writes no flags
-      ram[op->b] = static_cast<std::uint8_t>(op->k);
-    }
-      MAVR_TIER_NEXT();
-    L_AddAdc: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      const unsigned sum = unsigned{d} + r;
-      ram[op->a] = static_cast<std::uint8_t>(sum);
-      // The ADD's flags are dead except its carry-out (the ADC's SREG
-      // write covers the whole arithmetic set and preserves the rest).
-      const std::uint8_t d2 = ram[op->k & 0xFF], r2 = ram[op->k >> 8];
-      const std::uint8_t res2 =
-          static_cast<std::uint8_t>(d2 + r2 + (sum >> 8));
-      ram[op->k & 0xFF] = res2;
-      sreg = sreg_add(sreg, d2, r2, res2);
-    }
-      MAVR_TIER_NEXT();
-    L_AddAdd: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      ram[op->a] = static_cast<std::uint8_t>(d + r);
-      const std::uint8_t d2 = ram[op->k & 0xFF], r2 = ram[op->k >> 8];
-      const std::uint8_t res2 = static_cast<std::uint8_t>(d2 + r2);
-      ram[op->k & 0xFF] = res2;
-      sreg = sreg_add(sreg, d2, r2, res2);
-    }
-      MAVR_TIER_NEXT();
-    L_SubSbc: {
-      const std::uint8_t d = ram[op->a], r = ram[op->b];
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r);
-      ram[op->a] = res;
-      // SBC gates its Z on the previous op's Z and consumes its borrow;
-      // everything else of the SUB's flags is overwritten.
-      const std::uint8_t z1 =
-          res == 0 ? fb(kZ) : std::uint8_t{0};
-      const std::uint8_t d2 = ram[op->k & 0xFF], r2 = ram[op->k >> 8];
-      const std::uint8_t res2 =
-          static_cast<std::uint8_t>(d2 - r2 - (d < r ? 1 : 0));
-      ram[op->k & 0xFF] = res2;
-      sreg = sreg_sub(
-          static_cast<std::uint8_t>((sreg & ~fb(kZ)) | z1), d2, r2, res2,
-          /*keep_z=*/true);
-    }
-      MAVR_TIER_NEXT();
-    L_SubiSbci: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t r = static_cast<std::uint8_t>(op->k);
-      const std::uint8_t res = static_cast<std::uint8_t>(d - r);
-      ram[op->a] = res;
-      const std::uint8_t z1 =
-          res == 0 ? fb(kZ) : std::uint8_t{0};
-      const std::uint8_t d2 = ram[op->b];
-      const std::uint8_t r2 = static_cast<std::uint8_t>(op->target);
-      const std::uint8_t res2 =
-          static_cast<std::uint8_t>(d2 - r2 - (d < r ? 1 : 0));
-      ram[op->b] = res2;
-      sreg = sreg_sub(
-          static_cast<std::uint8_t>((sreg & ~fb(kZ)) | z1), d2, r2, res2,
-          /*keep_z=*/true);
-    }
-      MAVR_TIER_NEXT();
-    L_AsrRor: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t res =
-          static_cast<std::uint8_t>((d >> 1) | (d & 0x80));
-      ram[op->a] = res;
-      // The ASR's flags are dead except its carry-out into the ROR.
-      const std::uint8_t d2 = ram[op->b];
-      const std::uint8_t res2 =
-          static_cast<std::uint8_t>((d2 >> 1) | ((d & 1) ? 0x80 : 0));
-      ram[op->b] = res2;
-      sreg = sreg_asr_ror(sreg, d2, res2);
-    }
-      MAVR_TIER_NEXT();
-    L_RorAsr: {
-      const std::uint8_t d = ram[op->a];
-      const std::uint8_t res =
-          static_cast<std::uint8_t>((d >> 1) | ((sreg & 1) ? 0x80 : 0));
-      ram[op->a] = res;
-      // The ROR's flags are all overwritten by the ASR (which takes no
-      // carry-in), so only its stored byte survives.
-      const std::uint8_t d2 = ram[op->b];
-      const std::uint8_t res2 =
-          static_cast<std::uint8_t>((d2 >> 1) | (d2 & 0x80));
-      ram[op->b] = res2;
-      sreg = sreg_asr_ror(sreg, d2, res2);
-    }
-      MAVR_TIER_NEXT();
-    L_LdsSts:
-      ram[op->a] = ram[op->k];
-      ram[op->target] = ram[op->b];
-      MAVR_TIER_NEXT();
-    L_StsLds:
-      ram[op->k] = ram[op->a];
-      ram[op->b] = ram[op->target];
+    L_CallPush:
+      if (!isa::push_ret(ram, data_size, push_n, op->target2)) goto side_exit;
       MAVR_TIER_NEXT();
 
     // --- conditional mid-block exits ------------------------------------
     L_CondBrbs:
-      if ((sreg >> op->b) & 1) {
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
+      if (isa::bit_taken(Op::Brbs, sreg, op->b)) goto exit_taken;
       MAVR_TIER_NEXT();
     L_CondBrbc:
-      if (!((sreg >> op->b) & 1)) {
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
+      if (isa::bit_taken(Op::Brbc, sreg, op->b)) goto exit_taken;
       MAVR_TIER_NEXT();
     L_CondCpse:
-      if (ram[op->a] == ram[op->b]) {
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
+      if (ram[op->a] == ram[op->b]) goto exit_taken;
       MAVR_TIER_NEXT();
     L_CondSbrc:
-      if (!((ram[op->a] >> op->b) & 1)) {
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
+      if (isa::bit_taken(Op::Sbrc, ram[op->a], op->b)) goto exit_taken;
       MAVR_TIER_NEXT();
     L_CondSbrs:
-      if ((ram[op->a] >> op->b) & 1) {
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
+      if (isa::bit_taken(Op::Sbrs, ram[op->a], op->b)) goto exit_taken;
       MAVR_TIER_NEXT();
+    // A dispatched skip-test read ends the block at this boundary whichever
+    // way the test goes — the handler may have scheduled work.
+#define MAVR_TIER_COND_IO(test)                                           \
+      if (disp[op->k] & IoBus::kHandlesRead) [[unlikely]] {               \
+        std::uint8_t v;                                                   \
+        MAVR_TIER_IO_CALL_COND(v = data_.load(op->k),                     \
+                               isa::bit_taken(test, v, op->b));           \
+        goto block_done;                                                  \
+      }                                                                   \
+      if (isa::bit_taken(test, ram[op->k], op->b)) goto exit_taken;       \
+      MAVR_TIER_NEXT()
     L_CondSbic:
-      // A dispatched read ends the block at this boundary whichever way
-      // the test goes — the handler may have scheduled work.
-      if (disp[op->k] & IoBus::kHandlesRead) [[unlikely]] {
-        std::uint8_t v;
-        MAVR_TIER_IO_CALL_COND(v = data_.load(op->k),
-                               !((v >> op->b) & 1));
-        goto block_done;
-      }
-      if (!((ram[op->k] >> op->b) & 1)) {
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
-      MAVR_TIER_NEXT();
+      MAVR_TIER_COND_IO(Op::Sbic);
     L_CondSbis:
-      if (disp[op->k] & IoBus::kHandlesRead) [[unlikely]] {
-        std::uint8_t v;
-        MAVR_TIER_IO_CALL_COND(v = data_.load(op->k),
-                               (v >> op->b) & 1);
-        goto block_done;
-      }
-      if ((ram[op->k] >> op->b) & 1) {
-        next_pc = op->target;
-        term_cyc = op->cyc;
-        goto block_done;
-      }
-      MAVR_TIER_NEXT();
+      MAVR_TIER_COND_IO(Op::Sbis);
+#undef MAVR_TIER_COND_IO
     L_CondRet: {
-      // Same pop sequence as L_TermRet, then a compare against the
-      // translate-time prediction: a match continues in-block, a
-      // mismatch (callee unbalanced the stack) exits with the popped
-      // destination. Nothing is speculative — the pop is architectural
-      // either way.
-      const std::uint32_t sp_now =
-          static_cast<std::uint16_t>(ram[kAddrSpl] | (ram[kAddrSph] << 8));
-      if (sp_now + 1 < kExtIoEnd || sp_now + push_n >= data_size) {
-        goto side_exit;
-      }
-      std::uint32_t raw = 0;
-      for (unsigned i = 1; i <= push_n; ++i) {
-        raw = (raw << 8) | ram[sp_now + i];
-      }
-      const std::uint16_t p = static_cast<std::uint16_t>(sp_now + push_n);
-      ram[kAddrSpl] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[kAddrSph] = static_cast<std::uint8_t>(p >> 8);
-      last_ret_raw_words_ = raw;
-      last_ret_wrapped_ = (raw & ~mask) != 0;
-      const std::uint32_t dest = raw & mask;
-      if (dest == op->target) [[likely]] MAVR_TIER_NEXT();
-      next_pc = dest;
-      term_cyc = op->cyc;
-      goto block_done;
+      // The architectural pop, then a compare against the translate-time
+      // prediction: a match continues in-block, a mismatch (callee
+      // unbalanced the stack) exits with the popped destination.
+      std::uint32_t raw;
+      if (!isa::pop_ret(ram, data_size, push_n, raw)) goto side_exit;
+      note_ret(raw);
+      next_pc = raw & mask;
+      if (next_pc == op->target) [[likely]] MAVR_TIER_NEXT();
+      goto exit_to;
     }
 
     // --- terminators ---------------------------------------------------
     L_TermIjmp:
-      next_pc = static_cast<std::uint16_t>(ram[30] | (ram[31] << 8)) & mask;
-      term_cyc = op->cyc;
-      goto block_done;
+      next_pc = isa::z_target(ram) & mask;
+      goto exit_to;
     L_TermEijmp:
-      next_pc = ((static_cast<std::uint32_t>(ram[kAddrEind]) << 16) |
-                 static_cast<std::uint16_t>(ram[30] | (ram[31] << 8))) &
-                mask;
-      term_cyc = op->cyc;
-      goto block_done;
-    L_TermIcall: {
-      const std::uint32_t sp_now =
-          static_cast<std::uint16_t>(ram[kAddrSpl] | (ram[kAddrSph] << 8));
-      if (sp_now < kExtIoEnd + (push_n - 1) || sp_now >= data_size) {
-        goto side_exit;
-      }
-      const std::uint32_t ret = op->target2;
-      ram[sp_now] = static_cast<std::uint8_t>(ret & 0xFF);
-      ram[sp_now - 1] = static_cast<std::uint8_t>((ret >> 8) & 0xFF);
-      if (push_n == 3) {
-        ram[sp_now - 2] = static_cast<std::uint8_t>((ret >> 16) & 0xFF);
-      }
-      const std::uint16_t p = static_cast<std::uint16_t>(sp_now - push_n);
-      ram[kAddrSpl] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[kAddrSph] = static_cast<std::uint8_t>(p >> 8);
-      next_pc = static_cast<std::uint16_t>(ram[30] | (ram[31] << 8)) & mask;
-      term_cyc = op->cyc;
-      goto block_done;
-    }
-    L_TermEicall: {
-      const std::uint32_t sp_now =
-          static_cast<std::uint16_t>(ram[kAddrSpl] | (ram[kAddrSph] << 8));
-      if (sp_now < kExtIoEnd + (push_n - 1) || sp_now >= data_size) {
-        goto side_exit;
-      }
-      const std::uint32_t ret = op->target2;
-      ram[sp_now] = static_cast<std::uint8_t>(ret & 0xFF);
-      ram[sp_now - 1] = static_cast<std::uint8_t>((ret >> 8) & 0xFF);
-      if (push_n == 3) {
-        ram[sp_now - 2] = static_cast<std::uint8_t>((ret >> 16) & 0xFF);
-      }
-      const std::uint16_t p = static_cast<std::uint16_t>(sp_now - push_n);
-      ram[kAddrSpl] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[kAddrSph] = static_cast<std::uint8_t>(p >> 8);
-      next_pc = ((static_cast<std::uint32_t>(ram[kAddrEind]) << 16) |
-                 static_cast<std::uint16_t>(ram[30] | (ram[31] << 8))) &
-                mask;
-      term_cyc = op->cyc;
-      goto block_done;
-    }
+      next_pc = isa::eind_target(ram) & mask;
+      goto exit_to;
+    L_TermIcall:
+      if (!isa::push_ret(ram, data_size, push_n, op->target2)) goto side_exit;
+      next_pc = isa::z_target(ram) & mask;
+      goto exit_to;
+    L_TermEicall:
+      if (!isa::push_ret(ram, data_size, push_n, op->target2)) goto side_exit;
+      next_pc = isa::eind_target(ram) & mask;
+      goto exit_to;
     L_TermRet:
     L_TermReti: {
-      const std::uint32_t sp_now =
-          static_cast<std::uint16_t>(ram[kAddrSpl] | (ram[kAddrSph] << 8));
-      // pop_pc's batched fast path bounds.
-      if (sp_now + 1 < kExtIoEnd || sp_now + push_n >= data_size) {
-        goto side_exit;
-      }
-      std::uint32_t raw = 0;
-      for (unsigned i = 1; i <= push_n; ++i) {
-        raw = (raw << 8) | ram[sp_now + i];
-      }
-      const std::uint16_t p = static_cast<std::uint16_t>(sp_now + push_n);
-      ram[kAddrSpl] = static_cast<std::uint8_t>(p & 0xFF);
-      ram[kAddrSph] = static_cast<std::uint8_t>(p >> 8);
-      last_ret_raw_words_ = raw;
-      last_ret_wrapped_ = (raw & ~mask) != 0;
-      if (op->kind == TierOpKind::kTermReti) sreg |= fb(kI);
+      std::uint32_t raw;
+      if (!isa::pop_ret(ram, data_size, push_n, raw)) goto side_exit;
+      note_ret(raw);
+      if (op->kind == TierOpKind::kTermReti) sreg = isa::reti_sreg(sreg);
       next_pc = raw & mask;
-      term_cyc = op->cyc;
-      goto block_done;
+      goto exit_to;
     }
     L_TermBsetI:
-      sreg |= fb(kI);
+      isa::Bset(ram, sreg, op->a, op->b, op->k);
       next_pc = op->target2;
-      term_cyc = op->cyc;
-      goto block_done;
+      goto exit_to;
     L_TermOutSreg:
       if (disp[op->k] & IoBus::kHandlesWrite) goto side_exit;
       sreg = ram[op->a];
       next_pc = op->target2;
-      term_cyc = op->cyc;
-      goto block_done;
+      goto exit_to;
     L_TermFall:
       // Pseudo-exit: retires nothing itself. The tick/poll that the
       // interpreter would run after the last real op cannot be due here —
@@ -2107,6 +807,10 @@ void Cpu::run_tier(std::uint64_t deadline) {
       io_.set_now(cycles);
       continue;
 
+    exit_taken:  // the op's static target, at its taken-path cost
+      next_pc = op->target;
+    exit_to:  // next_pc set by the op, taken-path cost
+      term_cyc = op->cyc;
     block_done:
       ram[kAddrSreg] = sreg;
       pc = next_pc;

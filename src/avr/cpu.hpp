@@ -238,19 +238,22 @@ class Cpu {
   std::uint8_t load_mem(std::uint32_t addr);
   template <bool kTraced>
   void store_mem(std::uint32_t addr, std::uint8_t value);
+  /// load_mem/store_mem as the memory port the shared op semantics
+  /// (isa.hpp) take for program data accesses.
+  template <bool kTraced>
+  struct DataPort;
   const Instr& decoded(std::uint32_t word_addr);
   void sync_decode_cache();
   void set_flag(SregBit bit, bool value);
-  void flags_add(std::uint8_t d, std::uint8_t r, std::uint8_t carry_in,
-                 std::uint8_t res);
-  void flags_sub(std::uint8_t d, std::uint8_t r, std::uint8_t borrow_in,
-                 std::uint8_t res, bool keep_z);
-  void flags_logic(std::uint8_t res);
   void push_byte(std::uint8_t value);
   std::uint8_t pop_byte();
   void push_pc(std::uint32_t ret_words);
   std::uint32_t pop_pc();
-  std::uint32_t skip_target(std::uint32_t next_pc) const;
+  /// Records a RET/RETI target for smashed-stack forensics.
+  void note_ret(std::uint32_t raw_words) {
+    last_ret_raw_words_ = raw_words;
+    last_ret_wrapped_ = (raw_words & ~pc_mask_) != 0;
+  }
   void fault_now(std::uint32_t pc_words, std::uint16_t opcode,
                  std::string reason);
 

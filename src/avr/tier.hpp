@@ -29,62 +29,53 @@
 #include <cstdint>
 #include <vector>
 
+#include "avr/isa.hpp"
 #include "avr/memory.hpp"
 
 namespace mavr::avr {
 
-/// Micro-op opcodes. Straight-line kinds first, terminators after
-/// kFirstTerminator; the executor's dispatch table is indexed by this
-/// value, so the enum must stay dense.
+/// Every micro-op kind, straight-line kinds first and terminators last
+/// (after kFirstTerminator). The executor's dispatch table is generated
+/// from this same list, so it stays dense and in order.
+#define MAVR_TIER_KINDS(X)                                                   \
+  /* Register ops (isa.hpp). kBset never carries bit I: that encoding */     \
+  /* terminates the block so interrupt delivery stays exact. */              \
+  MAVR_REG_OPS(X)                                                            \
+  /* Static-address data transfer. kLdsRam/kStsRam are plain-RAM moves */   \
+  /* (also unclaimed IN/OUT); kLdsLow/kStsLow sit in the I/O region and */   \
+  /* test the dispatch map at run time; kLdsSreg reads the live SREG. */     \
+  X(LdsRam) X(StsRam) X(LdsLow) X(StsLow) X(LdsSreg) X(Sbi) X(Cbi)           \
+  /* Pointer-addressed transfer, PUSH/POP: address computed, then */         \
+  /* guarded against the plain-RAM window before any state moves. */         \
+  MAVR_PTR_OPS(X)                                                            \
+  MAVR_FLASH_OPS(X)                                                          \
+  /* RCALL/CALL with a followed static target: pushes the return address */ \
+  /* (target2) and falls through — the callee body continues the block. */  \
+  X(CallPush)                                                                \
+  /* Fused pairs (isa.hpp): a fused op retires two instructions (see */      \
+  /* TierOp::ins_before) and reads its second half from the next slot. */    \
+  MAVR_FUSED_PAIRS(X)                                                        \
+  /* Conditional mid-block exits: the not-taken path continues inside */     \
+  /* the block (its cost is folded into the next op's prefix sum); the */    \
+  /* taken path leaves through the full block-exit sequence. */              \
+  X(CondBrbs) X(CondBrbc) X(CondCpse) X(CondSbrc) X(CondSbrs) X(CondSbic)    \
+  X(CondSbis)                                                                \
+  /* RET whose matching call was followed earlier in the same block: */      \
+  /* pops and compares against the translate-time return address */          \
+  /* (target); a match continues in-block, a mismatch leaves with the */     \
+  /* popped destination. */                                                  \
+  X(CondRet)                                                                 \
+  /* Terminators, exactly one per block, always last: dynamic targets */     \
+  /* via Z (+EIND), returns, SEI and OUT SREG (both end the block so the */  \
+  /* IRQ poll runs right after), and kTermFall, the pseudo-exit for the */   \
+  /* size cap or an untranslatable next op. */                               \
+  X(TermIjmp) X(TermEijmp) X(TermIcall) X(TermEicall) X(TermRet)             \
+  X(TermReti) X(TermBsetI) X(TermOutSreg) X(TermFall)
+
 enum class TierOpKind : std::uint8_t {
-  // Two-register / immediate ALU.
-  kAdd, kAdc, kSub, kSbc, kAnd, kOr, kEor, kMov, kMovw, kMul,
-  kCp, kCpc, kLdi, kSubi, kSbci, kAndi, kOri, kCpi,
-  // One-register ALU and SREG bit ops (kBset never carries bit I — that
-  // encoding terminates the block so interrupt delivery stays exact).
-  kCom, kNeg, kInc, kDec, kSwap, kAsr, kLsr, kRor, kAdiw, kSbiw,
-  kBset, kBclr, kBst, kBld, kNop,
-  // Static-address data transfer. kLdsRam/kStsRam target plain SRAM;
-  // the *Low variants sit inside the I/O region and test the dispatch
-  // map at run time (side-exit when a device handles the address).
-  kLdsRam, kStsRam, kLdsLow, kStsLow, kLdsSreg,
-  kIn, kInSreg, kOut,
-  kSbi, kCbi,
-  // Pointer-addressed data transfer: address computed, then guarded
-  // against the plain-RAM window before any architectural state moves.
-  kLdX, kLdXInc, kLdXDec, kLdYInc, kLdYDec, kLddY, kLdZInc, kLdZDec, kLddZ,
-  kStX, kStXInc, kStXDec, kStYInc, kStYDec, kStdY, kStZInc, kStZDec, kStdZ,
-  kLpmR0, kLpm, kLpmInc, kElpmR0, kElpm, kElpmInc,
-  kPush, kPop,
-  // RCALL/CALL with a followed static target: pushes the return address
-  // (target2) and falls through — the callee body continues the block.
-  kCallPush,
-  // Fused pairs: two adjacent pure ops (plain-RAM moves, register ALU)
-  // merged by the translator's peephole pass into one dispatch. Chosen
-  // from measured pair frequencies in the generated firmware — dominated
-  // by 16-bit idioms (lds/lds, add/adc, subi/sbci, asr/ror). A fused op
-  // retires two instructions (see TierOp::ins_before) and can never exit
-  // mid-op: both halves are side-effect-free against the I/O bus.
-  kLds2, kSts2, kLdi2, kLdiAdd, kLdsAdd, kLdsSub, kAddSts, kRorLdi,
-  kAddAdc, kAddAdd, kSubSbc, kSubiSbci, kAsrRor, kRorAsr,
-  kLdsSts, kStsLds,
-  // Conditional mid-block exits: the not-taken path continues inside the
-  // block (its 1-cycle cost is folded into the next op's prefix sum); the
-  // taken path leaves through the full block-exit sequence.
-  kCondBrbs, kCondBrbc,
-  kCondCpse, kCondSbrc, kCondSbrs, kCondSbic, kCondSbis,
-  // RET whose matching call was followed earlier in the same block: pops
-  // and compares against the translate-time return address (target); a
-  // match continues in-block (leaf calls inline away), a mismatch leaves
-  // through the block exit with the popped destination.
-  kCondRet,
-  // Terminators (exactly one per block, always the last op).
-  kTermIjmp, kTermEijmp,   ///< dynamic target via Z (+EIND)
-  kTermIcall, kTermEicall,
-  kTermRet, kTermReti,
-  kTermBsetI,    ///< SEI — ends the block so the IRQ poll runs right after
-  kTermOutSreg,  ///< OUT 0x3F — wholesale SREG write, same reason
-  kTermFall,     ///< pseudo-exit: size cap or untranslatable next op
+#define MAVR_TIER_KIND_ENUM(name, ...) k##name,
+  MAVR_TIER_KINDS(MAVR_TIER_KIND_ENUM)
+#undef MAVR_TIER_KIND_ENUM
 };
 
 inline constexpr auto kFirstTerminator =

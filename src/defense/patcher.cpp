@@ -197,15 +197,12 @@ RandomizeResult randomize_image(std::span<const std::uint8_t> image,
   }
 
   for (const Region& region : regions) {
-    std::uint32_t off = 0;
-    while (off + 2 <= region.size) {
+    MAVR_REQUIRE(region.new_base + region.size <= result.image.size(),
+                 "function block outside the image");
+    const std::span<const std::uint8_t> code(
+        result.image.data() + region.new_base, region.size);
+    avr::sweep(code, [&](std::uint32_t off, const avr::Instr& instr) {
       const std::uint32_t pos = region.new_base + off;
-      const std::uint16_t w1 = support::load_u16_le(result.image, pos);
-      const std::uint16_t w2 =
-          (off + 4 <= region.size)
-              ? support::load_u16_le(result.image, pos + 2)
-              : std::uint16_t{0};
-      const avr::Instr instr = avr::decode(w1, w2);
       const std::uint32_t old_pos = region.old_base + off;
 
       if (instr.op == avr::Op::Call || instr.op == avr::Op::Jmp) {
@@ -213,8 +210,8 @@ RandomizeResult randomize_image(std::span<const std::uint8_t> image,
             static_cast<std::uint32_t>(instr.target) * 2;
         bool mid = false;
         const std::uint32_t new_target = map.map(old_target, &mid);
-        const auto [nw1, nw2] =
-            toolchain::retarget_abs_jump(w1, new_target / 2);
+        const auto [nw1, nw2] = toolchain::retarget_abs_jump(
+            support::load_u16_le(result.image, pos), new_target / 2);
         support::store_u16_le(result.image, pos, nw1);
         support::store_u16_le(result.image, pos + 2, nw2);
         ++result.patched_abs_jumps;
@@ -231,8 +228,7 @@ RandomizeResult randomize_image(std::span<const std::uint8_t> image,
                      "relaxed RCALL/RJMP crosses a function boundary; "
                      "MAVR requires --no-relax");
       }
-      off += instr.size_words * 2;
-    }
+    });
   }
 
   // Patch the recorded function-pointer slots (data-init region offsets

@@ -114,19 +114,13 @@ std::string format_instr(const Instr& in, std::uint32_t byte_addr) {
 std::vector<DisasmLine> disassemble(std::span<const std::uint8_t> code,
                                     std::uint32_t base) {
   std::vector<DisasmLine> lines;
-  std::size_t pos = 0;
-  while (pos + 2 <= code.size()) {
-    const std::uint16_t w1 = support::load_u16_le(code, pos);
-    const std::uint16_t w2 = (pos + 4 <= code.size())
-                                 ? support::load_u16_le(code, pos + 2)
-                                 : 0;
+  avr::sweep(code, [&](std::uint32_t pos, const avr::Instr& in) {
     DisasmLine line;
-    line.byte_addr = base + static_cast<std::uint32_t>(pos);
-    line.instr = avr::decode(w1, w2);
+    line.byte_addr = base + pos;
+    line.instr = in;
     line.text = format_instr(line.instr, line.byte_addr);
     lines.push_back(std::move(line));
-    pos += line.instr.size_words * 2;
-  }
+  });
   return lines;
 }
 
