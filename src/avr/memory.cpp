@@ -43,13 +43,31 @@ void ProgramMemory::program_page(std::uint32_t byte_addr,
   ++generation_;
 }
 
-support::Bytes ProgramMemory::dump() const {
-  support::Bytes out;
-  out.reserve(size_bytes());
-  for (std::uint16_t w : words_) {
-    out.push_back(static_cast<std::uint8_t>(w & 0xFF));
-    out.push_back(static_cast<std::uint8_t>(w >> 8));
+void ProgramMemory::read(std::uint32_t byte_addr,
+                         std::span<std::uint8_t> out) const {
+  MAVR_REQUIRE(out.size() <= size_bytes() &&
+                   byte_addr <= size_bytes() - out.size(),
+               "flash read beyond end of flash");
+  if (out.empty()) return;
+  const std::uint16_t* src = words_.data() + byte_addr / 2;
+  std::uint8_t* dst = out.data();
+  std::size_t n = out.size();
+  if ((byte_addr & 1) != 0) {  // odd start: the high byte of the first word
+    *dst++ = static_cast<std::uint8_t>(*src++ >> 8);
+    --n;
   }
+  const std::size_t whole = n / 2;
+  for (std::size_t i = 0; i < whole; ++i) {
+    const std::uint16_t w = src[i];
+    dst[2 * i] = static_cast<std::uint8_t>(w & 0xFF);
+    dst[2 * i + 1] = static_cast<std::uint8_t>(w >> 8);
+  }
+  if ((n & 1) != 0) dst[n - 1] = static_cast<std::uint8_t>(src[whole] & 0xFF);
+}
+
+support::Bytes ProgramMemory::dump() const {
+  support::Bytes out(size_bytes());
+  read(0, out);
   return out;
 }
 

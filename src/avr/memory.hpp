@@ -61,6 +61,11 @@ class ProgramMemory {
   /// decode cache to know when cached decodes are stale.
   std::uint64_t generation() const { return generation_; }
 
+  /// Copies `out.size()` bytes starting at `byte_addr` (little-endian word
+  /// order, no wrap) — the bulk path behind bootloader readback and dump().
+  /// Throws PreconditionError when the range leaves the flash.
+  void read(std::uint32_t byte_addr, std::span<std::uint8_t> out) const;
+
   /// Copies the flash contents out as bytes (test/verification support;
   /// the readout-protection policy is enforced one level up, in sim::Board).
   support::Bytes dump() const;

@@ -28,13 +28,18 @@ class ExternalFlash {
     return static_cast<std::uint32_t>(data_.size());
   }
 
-  /// Replaces the chip contents (host flashing path, paper §VI-B2).
-  /// Throws support::PreconditionError when the container does not fit —
-  /// the paper's exhaustion failure mode.
-  void store(std::span<const std::uint8_t> bytes) {
-    MAVR_REQUIRE(bytes.size() <= capacity_,
+  /// Throws support::PreconditionError when a `bytes`-long container does
+  /// not fit — the paper's exhaustion failure mode.
+  void require_fits(std::uint64_t bytes) const {
+    MAVR_REQUIRE(bytes <= capacity_,
                  "external flash exhausted: symbol table + binary exceed "
                  "chip capacity (use a larger part in production)");
+  }
+
+  /// Replaces the chip contents (host flashing path, paper §VI-B2).
+  /// Throws as require_fits() when the container does not fit.
+  void store(std::span<const std::uint8_t> bytes) {
+    require_fits(bytes.size());
     data_.assign(bytes.begin(), bytes.end());
   }
 
@@ -47,12 +52,17 @@ class ExternalFlash {
     return faults_ ? faults_->filter_read(value) : value;
   }
 
-  /// Streams the whole chip through read() — the master's container fetch
-  /// path, subject to read faults. Distinct calls see distinct fault draws,
-  /// which is what makes a bounded re-read retry meaningful.
+  /// Reads the whole chip — the master's container fetch path, subject to
+  /// read faults. With an armed plane every byte passes through it in
+  /// address order, exactly as a read() loop would, so distinct calls see
+  /// distinct fault draws (which is what makes a bounded re-read retry
+  /// meaningful). Without one the contents are copied in bulk.
   support::Bytes read_all() const {
+    if (faults_ == nullptr || !faults_->armed()) return data_;
     support::Bytes out(data_.size());
-    for (std::uint32_t i = 0; i < out.size(); ++i) out[i] = read(i);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = faults_->filter_read(data_[i]);
+    }
     return out;
   }
 

@@ -15,7 +15,15 @@ MasterProcessor::MasterProcessor(ExternalFlash& flash, sim::Board& board,
     : flash_(flash), board_(board), config_(config), rng_(config.seed) {}
 
 void MasterProcessor::host_upload_hex(const std::string& hex) {
-  const toolchain::HexImage decoded = toolchain::intel_hex_decode(hex);
+  toolchain::HexImage decoded;
+  try {
+    // Decoded no further than the chip holds, so a HEX whose records reach
+    // past it is refused before its image is allocated.
+    decoded = toolchain::intel_hex_decode(hex, flash_.capacity());
+  } catch (const toolchain::HexExtentError& e) {
+    flash_.require_fits(e.extent());  // throws: the exhaustion failure mode
+    throw;
+  }
   flash_.store(decoded.data);  // stored verbatim (paper §VI-B2)
 }
 

@@ -86,12 +86,12 @@ support::Bytes Board::bootloader_read_page(std::uint32_t byte_addr,
   MAVR_REQUIRE(in_bootloader_, "not in bootloader");
   MAVR_REQUIRE(!readout_protected_,
                "bootloader readback blocked by protection fuse");
-  MAVR_REQUIRE(byte_addr + len <= cpu_.spec().flash_bytes,
+  const std::uint32_t flash_bytes = cpu_.spec().flash_bytes;
+  // Written so the sum cannot wrap: 0xFFFFFF00 + 0x100 is 0 in 32 bits.
+  MAVR_REQUIRE(len <= flash_bytes && byte_addr <= flash_bytes - len,
                "readback beyond end of flash");
   support::Bytes out(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    out[i] = cpu_.flash().byte(byte_addr + i);
-  }
+  cpu_.flash().read(byte_addr, out);
   return out;
 }
 

@@ -29,7 +29,9 @@ class Crc16 {
 std::uint16_t crc16_x25(std::span<const std::uint8_t> data);
 
 /// Incremental CRC-32/ISO-HDLC (the zlib/Ethernet polynomial, reflected:
-/// init 0xFFFFFFFF, poly 0xEDB88320, final xor 0xFFFFFFFF).
+/// init 0xFFFFFFFF, poly 0xEDB88320, final xor 0xFFFFFFFF). Table driven:
+/// byte ranges fold eight bytes per step (slicing-by-8 over compile-time
+/// tables), single bytes one table lookup each.
 class Crc32 {
  public:
   void update(std::uint8_t byte);

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "support/bytes.hpp"
+#include "support/error.hpp"
 
 namespace mavr::toolchain {
 
@@ -24,8 +25,27 @@ struct HexImage {
   std::uint32_t base = 0;
 };
 
+/// Default decode bound: the AVR's 24-bit program byte address space
+/// (RAMPZ:Z), far above any part's flash.
+inline constexpr std::size_t kHexMaxBytes = std::size_t{1} << 24;
+
+/// Thrown by intel_hex_decode when a data record reaches past `max_bytes`
+/// from the image base; `extent()` is the end offset that record asked for.
+class HexExtentError : public support::DataError {
+ public:
+  HexExtentError(const std::string& what, std::uint64_t extent)
+      : DataError(what), extent_(extent) {}
+  std::uint64_t extent() const { return extent_; }
+
+ private:
+  std::uint64_t extent_;
+};
+
 /// Parses Intel HEX text. Gaps between records are filled with 0xFF.
-/// Throws support::DataError on malformed records or checksum mismatch.
-HexImage intel_hex_decode(const std::string& text);
+/// Throws support::DataError on malformed records or checksum mismatch, and
+/// HexExtentError (before allocating) when the decoded image would exceed
+/// `max_bytes`.
+HexImage intel_hex_decode(const std::string& text,
+                          std::size_t max_bytes = kHexMaxBytes);
 
 }  // namespace mavr::toolchain

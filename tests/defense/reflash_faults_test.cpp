@@ -96,6 +96,54 @@ TEST(FaultPlane, DisarmedPlaneIsTransparent) {
   EXPECT_EQ(plane.stats().total(), 0u);
 }
 
+support::Bytes random_container(std::size_t n) {
+  support::Rng rng(31);
+  support::Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+TEST(ExternalFlashRead, BulkReadWithoutPlaneIsTheContents) {
+  ExternalFlash flash;
+  flash.store(random_container(100'000));
+  EXPECT_EQ(flash.read_all(), flash.contents());
+  support::FaultPlane disarmed;
+  flash.attach_faults(&disarmed);
+  EXPECT_EQ(flash.read_all(), flash.contents());
+  EXPECT_EQ(disarmed.stats().total(), 0u);
+}
+
+TEST(ExternalFlashRead, BulkReadKeepsThePerByteFaultDrawOrder) {
+  // read_all() and a read() loop over the same chip, each behind a plane
+  // with the same seed, must see the same faults at the same bytes.
+  support::FaultConfig cfg;
+  cfg.read_bit_flip = 0.01;
+  cfg.read_stuck_byte = 0.005;
+  const support::Bytes data = random_container(100'000);
+  support::FaultPlane bulk_plane(cfg, support::Rng(41));
+  support::FaultPlane loop_plane(cfg, support::Rng(41));
+  ExternalFlash bulk;
+  ExternalFlash loop;
+  bulk.store(data);
+  loop.store(data);
+  bulk.attach_faults(&bulk_plane);
+  loop.attach_faults(&loop_plane);
+  for (int pass = 0; pass < 2; ++pass) {
+    support::Bytes looped(data.size());
+    for (std::uint32_t i = 0; i < looped.size(); ++i) looped[i] = loop.read(i);
+    const support::Bytes bulk_read = bulk.read_all();
+    EXPECT_EQ(bulk_read, looped) << "pass " << pass;
+    EXPECT_NE(bulk_read, data);
+  }
+  const support::FaultStats& a = bulk_plane.stats();
+  const support::FaultStats& b = loop_plane.stats();
+  EXPECT_GT(a.read_bit_flips, 0u);
+  EXPECT_GT(a.read_stuck_bytes, 0u);
+  EXPECT_EQ(a.read_bit_flips, b.read_bit_flips);
+  EXPECT_EQ(a.read_stuck_bytes, b.read_stuck_bytes);
+  EXPECT_EQ(a.total(), b.total());
+}
+
 TEST(ReflashPipeline, FaultFreeBehaviorIdentical) {
   // With no faults injected the hardened pipeline must be observationally
   // identical to running without a plane: same permutation, same timing

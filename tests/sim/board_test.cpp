@@ -80,6 +80,51 @@ TEST(Board, BootloaderReadbackDiscipline) {
   board.bootloader_run_application();
 }
 
+TEST(Board, BootloaderReadbackRangeCannotWrap) {
+  sim::Board board;
+  board.bootloader_enter();
+  board.bootloader_erase();
+  const std::uint32_t flash_bytes = board.cpu().spec().flash_bytes;
+  // 0xFFFFFF00 + 0x100 is 0 in 32 bits: the range check must not wrap.
+  EXPECT_THROW(board.bootloader_read_page(0xFFFFFF00u, 0x100),
+               support::PreconditionError);
+  EXPECT_THROW(board.bootloader_read_page(0, 0xFFFFFFFFu),
+               support::PreconditionError);
+  // One page past the last one straddles the end of flash.
+  EXPECT_THROW(board.bootloader_read_page(0x3FF00, 0x200),
+               support::PreconditionError);
+  EXPECT_EQ(board.bootloader_read_page(0x3FF00, 0x100),
+            support::Bytes(0x100, 0xFF));
+  EXPECT_EQ(board.bootloader_read_page(flash_bytes, 0).size(), 0u);
+  board.bootloader_run_application();
+}
+
+TEST(Board, BootloaderReadbackMatchesByteView) {
+  sim::Board board;
+  board.flash_image(fw().image.bytes);
+  board.bootloader_enter();
+  const avr::ProgramMemory& flash = board.cpu().flash();
+  const std::uint32_t flash_bytes = board.cpu().spec().flash_bytes;
+  // Every start and end parity: the bulk word read agrees with the LPM
+  // byte view, including the last byte of flash.
+  for (std::uint32_t start : {0u, 1u, 2u, 3u, 255u, 256u, 1001u,
+                              flash_bytes - 5}) {
+    for (std::uint32_t len : {0u, 1u, 2u, 3u, 4u, 5u}) {
+      const support::Bytes got = board.bootloader_read_page(start, len);
+      ASSERT_EQ(got.size(), len);
+      for (std::uint32_t i = 0; i < len; ++i) {
+        EXPECT_EQ(got[i], flash.byte(start + i)) << start << "+" << i;
+      }
+    }
+  }
+  const std::uint32_t image = fw().image.size_bytes();
+  EXPECT_EQ(board.bootloader_read_page(1, image - 1),
+            support::Bytes(fw().image.bytes.begin() + 1,
+                           fw().image.bytes.end()));
+  EXPECT_EQ(board.read_flash().size(), flash_bytes);
+  board.bootloader_run_application();
+}
+
 TEST(Board, CoreHeldWhileInBootloader) {
   sim::Board board;
   board.flash_image(fw().image.bytes);

@@ -1,4 +1,4 @@
-// Unit tests for the support layer: byte codecs, CRC, RNG, hexdump,
+// Unit tests for the support layer: byte codecs, CRC-16/CRC-32, RNG, hexdump,
 // errors, SHA-256/HMAC.
 #include <gtest/gtest.h>
 
@@ -91,6 +91,63 @@ TEST(Crc16, DetectsSingleBitFlips) {
     bad[i / 8] ^= static_cast<std::uint8_t>(1u << (i % 8));
     EXPECT_NE(crc16_x25(bad), good) << "bit " << i;
   }
+}
+
+// Bit-at-a-time CRC-32/ISO-HDLC: the reference the table-driven Crc32 is
+// checked against.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    crc ^= b;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+TEST(Crc32, KnownVector) {
+  const char* s = "123456789";
+  EXPECT_EQ(crc32_ieee(std::span(reinterpret_cast<const std::uint8_t*>(s), 9)),
+            0xCBF43926u);
+  EXPECT_EQ(crc32_ieee({}), 0u);
+}
+
+TEST(Crc32, TableMatchesBitwiseAtEveryLengthAndAlignment) {
+  const Bytes buf = random_bytes(64 + 8, 7);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + align, len);
+      EXPECT_EQ(crc32_ieee(data), crc32_bitwise(data))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalSplitMatchesOneShot) {
+  const Bytes data = random_bytes(100, 11);
+  const std::uint32_t whole = crc32_ieee(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Crc32 crc;
+    crc.update(std::span(data).first(split));
+    crc.update(std::span(data).subspan(split));
+    EXPECT_EQ(crc.value(), whole) << "split " << split;
+  }
+  Crc32 bytewise;
+  for (std::uint8_t b : data) bytewise.update(b);
+  EXPECT_EQ(bytewise.value(), whole);
+}
+
+TEST(Crc32, LargeRandomBufferMatchesBitwise) {
+  const Bytes data = random_bytes(256 * 1024, 12);
+  EXPECT_EQ(crc32_ieee(data), crc32_bitwise(data));
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
