@@ -1,19 +1,22 @@
-// campaignd service scaling: trials/sec by worker count when the same
-// campaign runs through the coordinator/worker service instead of the
-// in-process thread pool, plus the cross-process determinism check — the
-// service aggregate must be bit-identical to the in-process one at every
-// worker count (DESIGN.md §12–§13).
+// Campaign scaling: trials/sec by worker count, first on the in-process
+// thread pool (jobs 1/2/4/8) and then through the coordinator/worker
+// service, plus the determinism checks — the in-process aggregate must be
+// bit-identical at every jobs count, and the service aggregate
+// bit-identical to it at every worker count (DESIGN.md §12–§13).
 //
-// The sweep runs on both transports: AF_UNIX (the single-machine
+// Workload: the re-randomized brute-force model at n=6 — each trial runs
+// a geometric series of unbiased Rng draws (E[draws] = 720), so the work
+// is CPU-bound and embarrassingly parallel. Speedup is bounded by the
+// physical cores of the machine running the bench; the determinism checks
+// hold everywhere. The in-process and service tables share the workload,
+// so their delta is the protocol + scheduling overhead of sharding
+// 64-trial chunks over a stream socket.
+//
+// The service sweep runs on both transports: AF_UNIX (the single-machine
 // default) and TCP loopback (the multi-machine path — loopback puts a
 // floor under its protocol cost; real networks only add latency, which
 // cannot affect the bits). The bit-exactness gate applies to every cell:
 // any mismatch exits nonzero.
-//
-// Workload matches bench/campaign_scaling.cpp (re-randomized brute-force
-// model, n=6), so the tables are directly comparable: the delta is the
-// protocol + scheduling overhead of sharding 64-trial chunks over a
-// stream socket.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -29,6 +32,43 @@
 #include "campaignd/worker.hpp"
 
 namespace {
+
+/// Determinism means *equality*, not closeness: CampaignStats is all
+/// 8-byte fields, so a bytewise compare checks every bit.
+bool same_bits(const mavr::campaign::CampaignStats& a,
+               const mavr::campaign::CampaignStats& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The in-process thread pool at jobs 1/2/4/8. Leaves the jobs=1
+/// aggregate in `*reference`; returns false on a bit-exactness violation.
+bool in_process_sweep(mavr::campaign::CampaignConfig config,
+                      mavr::campaign::CampaignStats* reference) {
+  using namespace mavr;
+  std::printf("-- in-process thread pool --\n");
+  std::printf("%-8s %-12s %-14s %-10s %-12s\n", "jobs", "wall (s)",
+              "trials/sec", "speedup", "stats match");
+  double base_s = 0;
+  for (unsigned jobs : {1u, 2u, 4u, 8u}) {
+    config.jobs = jobs;
+    const auto t0 = std::chrono::steady_clock::now();
+    const campaign::CampaignStats stats = campaign::run_campaign(config);
+    const double wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (jobs == 1) {
+      base_s = wall_s;
+      *reference = stats;
+    }
+    const bool identical = same_bits(stats, *reference);
+    std::printf("%-8u %-12.3f %-14.0f %-10.2f %-12s\n", jobs, wall_s,
+                static_cast<double>(config.trials) / wall_s,
+                base_s / wall_s, identical ? "bit-exact" : "MISMATCH (!)");
+    if (!identical) return false;
+  }
+  std::printf("\n");
+  return true;
+}
 
 /// One worker-count sweep over `listen_endpoint`. Returns false on any
 /// service failure or bit-exactness violation.
@@ -83,10 +123,7 @@ bool sweep(const char* label, const std::string& listen_endpoint,
     }
     if (workers == 1) base_s = wall_s;
 
-    // Bitwise comparison against the in-process run: determinism across
-    // the process boundary means *equality*, not closeness.
-    const bool identical =
-        std::memcmp(&done.status.stats, &reference, sizeof reference) == 0;
+    const bool identical = same_bits(done.status.stats, reference);
     std::printf("%-8d %-12.3f %-14.0f %-10.2f %-12s\n", workers, wall_s,
                 static_cast<double>(config.trials) / wall_s,
                 base_s / wall_s, identical ? "bit-exact" : "MISMATCH (!)");
@@ -100,28 +137,23 @@ bool sweep(const char* label, const std::string& listen_endpoint,
 
 int main() {
   using namespace mavr;
-  bench::heading("campaignd service scaling (trials/sec by worker count)");
+  bench::heading("Campaign scaling (trials/sec by worker count)");
 
   campaign::CampaignConfig config;
   config.scenario = campaign::Scenario::kBruteForceRerand;
   config.n_functions = 6;
   config.trials = 20'000;
   config.seed = 0xCA4;
-  config.jobs = 1;
-
-  const auto r0 = std::chrono::steady_clock::now();
-  const campaign::CampaignStats reference = campaign::run_campaign(config);
-  const double ref_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - r0)
-          .count();
 
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("workload: %llu trials of %s (n=%u), hardware threads: %u\n",
+  std::printf("workload: %llu trials of %s (n=%u), hardware threads: %u\n\n",
               static_cast<unsigned long long>(config.trials),
               campaign::scenario_name(config.scenario), config.n_functions,
               hw);
-  std::printf("in-process baseline (jobs=1): %.3f s\n\n", ref_s);
 
+  campaign::CampaignStats reference;
+  if (!in_process_sweep(config, &reference)) return 1;
+  config.jobs = 1;
   if (!sweep("AF_UNIX", "unix:/tmp/mavr_campaignd_bench.sock", config,
              reference)) {
     return 1;
@@ -130,9 +162,10 @@ int main() {
     return 1;
   }
 
-  std::printf("every transport and worker count reproduces the in-process "
-              "aggregate\nbit-for-bit: chunks are deterministic functions of "
-              "(config, index), merged in\nindex order wherever they were "
-              "computed.\n");
+  std::printf("speedup ceiling is min(jobs, physical cores). Every jobs "
+              "count, transport and\nworker count reproduces the same "
+              "aggregate bit-for-bit: chunks are\ndeterministic functions "
+              "of (config, index), merged in index order wherever\nthey "
+              "were computed.\n");
   return 0;
 }

@@ -1,10 +1,16 @@
-// Tracer overhead on the interpreter hot loop: the same firmware run
-// untraced (the single null-pointer branch), under each concrete sink, and
-// under the full Session. BM_Untraced is the baseline every traced case is
-// read against — that is the zero-cost-when-disabled contract of the
-// observability layer. Detector cost is bench/detect_overhead's.
+// Tracer and detector overhead on the interpreter hot loop: the same
+// firmware run untraced (the single null-pointer branch), under each
+// concrete sink, under the full Session, and with the intrusion-detection
+// engine armed under each single detector and the full set (DESIGN.md
+// §10). BM_Untraced is the baseline every traced case is read against —
+// that is the zero-cost-when-disabled contract of the observability
+// layer. The spread between BM_Untraced and BM_AllDetectors is the
+// on-board price of the detection layer the paper argues randomization
+// makes unnecessary — the number the detect-sweep campaign's overhead
+// column contextualizes.
 #include <benchmark/benchmark.h>
 
+#include "detect/engine.hpp"
 #include "firmware/generator.hpp"
 #include "firmware/profile.hpp"
 #include "sim/board.hpp"
@@ -115,6 +121,52 @@ void BM_FullSession(benchmark::State& state) {
   sim_rate(state);
 }
 BENCHMARK(BM_FullSession)->Unit(benchmark::kMicrosecond);
+
+void bench_with_detectors(benchmark::State& state, unsigned detectors) {
+  sim::Board board;
+  board.flash_image(test_fw().image.bytes);
+  detect::EngineConfig config;
+  config.detectors = detectors;
+  detect::Engine engine(config);
+  engine.arm(board.cpu());
+  engine.rebuild(test_fw().image.bytes, test_fw().image.text_end);
+  board.run_cycles(200'000);  // boot
+  for (auto _ : state) run_slice(state, board);
+  sim_rate(state);
+  if (engine.tripped()) state.SkipWithError("false positive on clean flight");
+}
+
+void BM_EngineNoDetectors(benchmark::State& state) {
+  // The armed engine with every detector masked off: the cost of the
+  // instrumented interpreter instantiation plus the mask checks.
+  bench_with_detectors(state, detect::kDetectNone);
+}
+BENCHMARK(BM_EngineNoDetectors)->Unit(benchmark::kMicrosecond);
+
+void BM_Canary(benchmark::State& state) {
+  bench_with_detectors(state, detect::kDetectCanary);
+}
+BENCHMARK(BM_Canary)->Unit(benchmark::kMicrosecond);
+
+void BM_ShadowStack(benchmark::State& state) {
+  bench_with_detectors(state, detect::kDetectShadowStack);
+}
+BENCHMARK(BM_ShadowStack)->Unit(benchmark::kMicrosecond);
+
+void BM_SpBounds(benchmark::State& state) {
+  bench_with_detectors(state, detect::kDetectSpBounds);
+}
+BENCHMARK(BM_SpBounds)->Unit(benchmark::kMicrosecond);
+
+void BM_ReturnCfi(benchmark::State& state) {
+  bench_with_detectors(state, detect::kDetectReturnCfi);
+}
+BENCHMARK(BM_ReturnCfi)->Unit(benchmark::kMicrosecond);
+
+void BM_AllDetectors(benchmark::State& state) {
+  bench_with_detectors(state, detect::kDetectAll);
+}
+BENCHMARK(BM_AllDetectors)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -346,12 +346,15 @@ void Cpu::step_impl(std::uint64_t deadline, bool single) {
 
 void Cpu::step() {
   sync_decode_cache();
+  const std::uint64_t flash_gen = flash_.generation();
   io_.raise_irq();
   if (tracer_ == nullptr) [[likely]] {
     step_impl<false>(0, /*single=*/true);
   } else {
     step_impl<true>(0, /*single=*/true);
   }
+  MAVR_REQUIRE(flash_.generation() == flash_gen,
+               "flash reprogrammed inside step()");
 }
 
 // Delivery shared by both interpreter instantiations and the tier
@@ -393,6 +396,10 @@ void Cpu::set_irq_line(std::uint8_t vector_slot, IrqTakeFn take, void* ctx) {
 
 std::uint64_t Cpu::run(std::uint64_t cycle_budget) {
   sync_decode_cache();
+  // Flash changes only between runs (the decode cache and the tier's
+  // translations are synced above, once); a device handler that
+  // reprograms it mid-run is refused once the run ends.
+  const std::uint64_t flash_gen = flash_.generation();
   // Pending state may have been flipped from outside the simulation loop
   // (tests driving lines directly, UART feeds between runs): poll at least
   // once regardless of device hints.
@@ -414,6 +421,8 @@ std::uint64_t Cpu::run(std::uint64_t cycle_budget) {
       step_impl<true>(deadline, /*single=*/false);
     }
   }
+  MAVR_REQUIRE(flash_.generation() == flash_gen,
+               "flash reprogrammed inside run()");
   return cycles_ - start;
 }
 
@@ -430,20 +439,18 @@ std::uint64_t Cpu::run(std::uint64_t cycle_budget) {
 
 /// Dispatched-I/O access inside a block: run it through the full bus path
 /// and — when the handler provably could not affect anything the rest of
-/// the block observes (interrupt hint, tick deadline, and flash
-/// generation all untouched) — keep executing the block. Otherwise fall
-/// through to the caller's block-exit code, which retires this op through
-/// the interpreter-exact boundary sequence.
-#define MAVR_TIER_IO_CALL(access)                                  \
-  dispatch_at();                                                   \
-  const bool hint0 = io_.irq_hint();                               \
-  const std::uint64_t dl0 = io_.next_deadline();                   \
-  access;                                                          \
-  if (io_.irq_hint() == hint0 && io_.next_deadline() == dl0 &&     \
-      flash_.generation() == gen0) [[likely]] {                    \
-    MAVR_TIER_NEXT();                                              \
-  }                                                                \
-  if (flash_.generation() != gen0) want_resync = true
+/// the block observes (interrupt hint and tick deadline both untouched) —
+/// keep executing the block. Otherwise fall through to the caller's
+/// block-exit code, which retires this op through the interpreter-exact
+/// boundary sequence. A handler cannot reflash: run() rejects that.
+#define MAVR_TIER_IO_CALL(access)                                           \
+  dispatch_at();                                                            \
+  const bool hint0 = io_.irq_hint();                                        \
+  const std::uint64_t dl0 = io_.next_deadline();                            \
+  access;                                                                   \
+  if (io_.irq_hint() == hint0 && io_.next_deadline() == dl0) [[likely]] {   \
+    MAVR_TIER_NEXT();                                                       \
+  }
 
 /// Same, for a dispatched skip-test (SBIC/SBIS): the taken (skip) path
 /// always exits at this boundary, the not-taken path continues in the
@@ -454,9 +461,7 @@ std::uint64_t Cpu::run(std::uint64_t cycle_budget) {
   const std::uint64_t dl0 = io_.next_deadline();                   \
   access;                                                          \
   const bool benign =                                              \
-      io_.irq_hint() == hint0 && io_.next_deadline() == dl0 &&     \
-      flash_.generation() == gen0;                                 \
-  if (!benign && flash_.generation() != gen0) want_resync = true;  \
+      io_.irq_hint() == hint0 && io_.next_deadline() == dl0;       \
   if (taken_expr) {                                                \
     next_pc = op->target;                                          \
     term_cyc = op->cyc;                                            \
@@ -490,20 +495,15 @@ void Cpu::run_tier(std::uint64_t deadline) {
   const unsigned push_n = push_bytes_;
   const isa::RamPort plain{ram};
 
-  // Cache geometry, also hoisted: the map pointer is stable for the whole
-  // run (sync() sizes it once; translate() never resizes it), the epoch
-  // and block/op arrays are re-hoisted after a translate() or a mid-run
-  // reflash resync.
+  // Cache geometry, also hoisted: the map pointer and epoch are stable for
+  // the whole run (sync() sizes the map once; translate() never resizes
+  // it, and flash cannot change inside run()), the block/op arrays are
+  // re-hoisted after a translate().
   tier_.sync(flash_, io_.handler_generation());
   const std::uint64_t* const tmap = tier_.map.data();
-  std::uint64_t tepoch = tier_.epoch;
-  std::uint64_t gen0 = tier_.generation;
+  const std::uint64_t tepoch = tier_.epoch;
   const TierBlock* tblocks = tier_.blocks.data();
   const TierOp* tarena = tier_.arena.data();
-  // Set when a dispatched handler moved the flash generation mid-run (a
-  // device-triggered reflash): every translation is stale, so the
-  // executor drains back to the resync loop below.
-  bool want_resync = false;
 
   std::uint32_t pc = pc_;
   std::uint64_t cycles = cycles_;
@@ -533,8 +533,7 @@ void Cpu::run_tier(std::uint64_t deadline) {
   };
 
   try {
-   resync:
-    while (!want_resync && state_ == CpuState::Running && cycles < deadline) {
+    while (state_ == CpuState::Running && cycles < deadline) {
       // A pending interrupt must be delivered at the very next instruction
       // boundary — blocks only poll at their end, so step the interpreter
       // (which polls after every instruction) until the gate drops.
@@ -590,7 +589,7 @@ void Cpu::run_tier(std::uint64_t deadline) {
 
       // `restrict`: block stores go through `ram` (a char* that formally
       // aliases everything), but the op arena is never written while a
-      // block runs — translate()/resync happen only between blocks — so
+      // block runs — translate() happens only between blocks — so
       // the compiler may cache op fields across those stores.
       const TierOp* const __restrict base = tarena + bp->first_op;
       const TierOp* __restrict op = base;
@@ -831,7 +830,7 @@ void Cpu::run_tier(std::uint64_t deadline) {
       // own head (dec/brne spins, polling loops) re-enters the same block
       // without going back through the lookup — only the guards that can
       // change between iterations are rechecked.
-      if (pc == blk_head && state_ == CpuState::Running && !want_resync) {
+      if (pc == blk_head && state_ == CpuState::Running) {
         const std::uint64_t io_deadline = io_.next_deadline();
         const std::uint64_t stop =
             io_deadline < deadline ? io_deadline : deadline;
@@ -859,15 +858,6 @@ void Cpu::run_tier(std::uint64_t deadline) {
       io_.set_now(cycles);
       interp_one();
       continue;
-    }
-    if (want_resync) [[unlikely]] {
-      want_resync = false;
-      tier_.sync(flash_, io_.handler_generation());
-      tepoch = tier_.epoch;
-      gen0 = tier_.generation;
-      tblocks = tier_.blocks.data();
-      tarena = tier_.arena.data();
-      goto resync;
     }
   } catch (...) {
     pc_ = pc;

@@ -127,7 +127,9 @@ class Cpu {
   void step();
 
   /// Runs until the core leaves Running or `cycle_budget` cycles elapse.
-  /// Returns the number of cycles consumed.
+  /// Returns the number of cycles consumed. Flash may be reprogrammed only
+  /// between runs: if a device handler changes it inside run() or step(),
+  /// the call throws support::PreconditionError when it returns.
   std::uint64_t run(std::uint64_t cycle_budget);
 
   // --- Architectural state -------------------------------------------------
@@ -295,7 +297,7 @@ class Cpu {
   // as not-yet-decoded (every real decode yields 1 or 2). Re-synced to the
   // flash generation at run()/step() entry rather than per instruction —
   // flash can only be reprogrammed from outside the interpreter loop (SPM
-  // is modelled as a no-op).
+  // is modelled as a no-op, and run()/step() reject a handler reflash).
   std::vector<Instr> cache_;
   std::uint64_t cache_generation_ = ~std::uint64_t{0};
 };

@@ -37,7 +37,6 @@ struct ClientOptions {
   int reply_timeout_ms = 10'000;
   /// Connect attempts per request (linear backoff inside the transport).
   int connect_attempts = 5;
-  int connect_backoff_ms = 20;
   /// Transient-failure retries per operation (0 = fail on first). For
   /// wait_campaign this budget is *consecutive*: any successful poll
   /// resets it.

@@ -68,22 +68,12 @@ struct MasterConfig {
   /// Master ↔ application serial link (prototype: 115200; production PCB
   /// with impedance control: mega-baud, paper §VII-B1).
   std::uint32_t serial_baud = 115200;
-  /// Internal flash page programming time (overlapped with reception).
-  double page_program_ms = 4.5;
   /// Feed-line silence threshold before declaring a failed attack.
   std::uint64_t watchdog_timeout_cycles = 1'600'000;  // 100 ms @ 16 MHz
   /// Set the readout-protection fuse when programming.
   bool set_readout_protection = true;
 
   // --- Reflash robustness policy (DESIGN.md §9) ------------------------------
-  /// Retransmissions allowed per page before the pass is abandoned.
-  std::uint32_t page_retries = 3;
-  /// Extra whole-image passes (fresh erase + rewrite) per reflash request.
-  std::uint32_t image_retries = 2;
-  /// Re-reads of the external-flash container after a CRC/parse failure.
-  std::uint32_t container_read_retries = 3;
-  /// Linear backoff added per retry (attempt k waits k * backoff).
-  double retry_backoff_ms = 2.0;
   /// Endurance floor reserved for watchdog-triggered recovery: scheduled
   /// re-randomizations stop once endurance_remaining() falls to or below
   /// this, while attack-triggered reflashes continue to zero.
@@ -227,7 +217,6 @@ class MasterProcessor {
   std::uint32_t boots_ = 0;
   std::uint32_t randomizations_ = 0;
   std::uint64_t attacks_detected_ = 0;
-  std::uint64_t last_feed_seen_ = 0;
   std::uint64_t last_feed_cycle_ = 0;
   std::optional<StartupReport> last_startup_;
   std::vector<std::size_t> current_permutation_;

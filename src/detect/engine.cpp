@@ -4,9 +4,18 @@
 
 #include "avr/decode.hpp"
 #include "support/bytes.hpp"
-#include "support/error.hpp"
 
 namespace mavr::detect {
+
+namespace {
+
+/// Legal stack region is [RAMEND - kStackReserveBytes + 1, RAMEND].
+constexpr std::uint16_t kStackReserveBytes = 512;
+
+/// Verdict log cap (the tripped() latch and trip counter keep counting).
+constexpr std::size_t kMaxVerdicts = 16;
+
+}  // namespace
 
 const char* detector_name(Detector detector) {
   switch (detector) {
@@ -67,7 +76,6 @@ std::optional<unsigned> parse_detector_set(std::string_view text) {
 }
 
 Engine::Engine(const EngineConfig& config) : config_(config) {
-  MAVR_REQUIRE(config_.freed_ring > 0, "freed_ring must be positive");
   shadow_.reserve(64);
   frames_.reserve(64);
   reset_dynamic();
@@ -78,7 +86,7 @@ void Engine::arm(avr::Cpu& cpu) {
   const avr::McuSpec& spec = cpu.spec();
   stack_hi_ = static_cast<std::uint16_t>(spec.ramend());
   stack_lo_ =
-      static_cast<std::uint16_t>(spec.ramend() - config_.stack_reserve_bytes + 1);
+      static_cast<std::uint16_t>(spec.ramend() - kStackReserveBytes + 1);
   push_bytes_ = spec.pc_push_bytes;
   cpu.set_tracer(this);
   reset_dynamic();
@@ -110,7 +118,7 @@ void Engine::rebuild(std::span<const std::uint8_t> image,
 void Engine::reset_dynamic() {
   shadow_.clear();
   frames_.clear();
-  freed_.assign(config_.freed_ring, FrameRecord{});
+  freed_.fill(FrameRecord{});
   freed_next_ = 0;
   tripped_ = false;
 }
@@ -120,7 +128,7 @@ void Engine::record(Detector detector, const avr::Cpu& cpu,
                     const char* reason) {
   tripped_ = true;
   ++total_trips_;
-  if (verdicts_.size() >= config_.max_verdicts) return;
+  if (verdicts_.size() >= kMaxVerdicts) return;
   Verdict v;
   v.detector = detector;
   v.cycle = cpu.cycles();
@@ -223,7 +231,7 @@ void Engine::on_sp_change(const avr::Cpu& cpu, std::uint16_t old_sp,
     while (!frames_.empty() &&
            frames_.back().slot + push_bytes_ - 1 <= new_sp) {
       freed_[freed_next_] = frames_.back();
-      freed_next_ = (freed_next_ + 1) % freed_.size();
+      freed_next_ = (freed_next_ + 1) % kFreedRing;
       frames_.pop_back();
     }
   }

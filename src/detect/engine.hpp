@@ -40,6 +40,7 @@
 // reflash ladder it uses for crash/quiet detection (defense/master.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -97,12 +98,6 @@ struct Verdict {
 
 struct EngineConfig {
   unsigned detectors = kDetectAll;
-  /// Legal stack region is [RAMEND - stack_reserve_bytes + 1, RAMEND].
-  std::uint16_t stack_reserve_bytes = 512;
-  /// Recently-freed frame records kept for crash-time canary forensics.
-  std::size_t freed_ring = 16;
-  /// Verdict log cap (the tripped() latch and trip counter keep counting).
-  std::size_t max_verdicts = 16;
 };
 
 class Engine : public avr::Tracer {
@@ -139,7 +134,8 @@ class Engine : public avr::Tracer {
 
   /// True once any detector fired since the last reset_dynamic().
   bool tripped() const { return tripped_; }
-  /// Verdicts fired over the engine's lifetime (capped at max_verdicts).
+  /// Verdicts fired over the engine's lifetime (the first 16 are kept;
+  /// the tripped() latch and total_trips() keep counting past the cap).
   const std::vector<Verdict>& verdicts() const { return verdicts_; }
   /// Total verdicts fired over the engine's lifetime (uncapped).
   std::uint64_t total_trips() const { return total_trips_; }
@@ -170,6 +166,9 @@ class Engine : public avr::Tracer {
     std::uint8_t bytes[3] = {};  ///< as stored (big-endian toward ascending)
   };
 
+  /// Recently-freed frame records kept for crash-time canary forensics.
+  static constexpr std::size_t kFreedRing = 16;
+
   void record(Detector detector, const avr::Cpu& cpu, std::uint32_t pc_words,
               std::uint32_t value, const char* reason);
   void remember_frame(const avr::Cpu& cpu);
@@ -184,7 +183,7 @@ class Engine : public avr::Tracer {
   // Dynamic state (cleared by reset_dynamic).
   std::vector<std::uint32_t> shadow_;   ///< mirrored return addresses
   std::vector<FrameRecord> frames_;     ///< live frames, outermost first
-  std::vector<FrameRecord> freed_;      ///< circular ring of freed frames
+  std::array<FrameRecord, kFreedRing> freed_;  ///< ring of freed frames
   std::size_t freed_next_ = 0;
   bool tripped_ = false;
 

@@ -7,10 +7,15 @@ namespace mavr::sim {
 
 using firmware::BoardIo;
 
-Board::Board(std::uint32_t baud) : cpu_(avr::atmega2560()) {
+namespace {
+/// Telemetry line rate (paper prototype: 115200 baud).
+constexpr std::uint32_t kTelemetryBaud = 115200;
+}  // namespace
+
+Board::Board() : cpu_(avr::atmega2560()) {
   avr::IoBus& bus = cpu_.io();
   uart_ = std::make_unique<avr::Uart>(
-      bus, avr::usart0_config(cpu_.spec().clock_hz, baud));
+      bus, avr::usart0_config(cpu_.spec().clock_hz, kTelemetryBaud));
   for (int i = 0; i < 3; ++i) {
     gyro_[i] = std::make_unique<Sensor16>(
         bus, static_cast<std::uint16_t>(BoardIo::kGyroX + 2 * i));

@@ -42,8 +42,7 @@ class Sensor16 {
 
 class Board {
  public:
-  /// `baud` is the telemetry line rate (paper prototype: 115200).
-  explicit Board(std::uint32_t baud = 115200);
+  Board();
 
   // --- Programming ----------------------------------------------------------
   /// Direct flash programming (host flashing path; counts one write cycle).

@@ -9,10 +9,10 @@ constexpr double kCountsPerDps = 16.0;
 constexpr double kServoAuthorityDps = 80.0;  // full deflection roll accel
 constexpr double kDamping = 2.0;
 constexpr double kDepartureDeg = 75.0;
+constexpr std::uint64_t kGustSeed = 42;
 }  // namespace
 
-FlightModel::FlightModel(Board& board, std::uint64_t seed)
-    : board_(board), gust_rng_(seed) {}
+FlightModel::FlightModel(Board& board) : board_(board), gust_rng_(kGustSeed) {}
 
 void FlightModel::step(double dt_s) {
   // Servo channel 0 commands roll: 128 = neutral.

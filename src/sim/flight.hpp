@@ -25,7 +25,7 @@ struct FlightState {
 /// servo command in, gyro reading out.
 class FlightModel {
  public:
-  explicit FlightModel(Board& board, std::uint64_t seed = 42);
+  explicit FlightModel(Board& board);
 
   /// Advances the airframe by `dt_s` seconds and updates the board's gyro
   /// inputs from the new state.
@@ -40,7 +40,7 @@ class FlightModel {
  private:
   Board& board_;
   FlightState state_;
-  support::Rng gust_rng_;  ///< unbiased gust draws, deterministic per seed
+  support::Rng gust_rng_;  ///< unbiased gust draws, fixed seed
 };
 
 }  // namespace mavr::sim

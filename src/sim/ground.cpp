@@ -2,6 +2,11 @@
 
 namespace mavr::sim {
 
+namespace {
+/// MAVLink system id of the ground station (255 by convention).
+constexpr std::uint8_t kSysid = 255;
+}  // namespace
+
 void GroundStation::send(const mavlink::Packet& packet) {
   const support::Bytes bytes = mavlink::encode(packet);
   board_.telemetry().host_send(bytes);
@@ -9,16 +14,16 @@ void GroundStation::send(const mavlink::Packet& packet) {
 
 void GroundStation::send_heartbeat() {
   mavlink::Heartbeat hb;
-  send(hb.to_packet(sysid_, seq_++));
+  send(hb.to_packet(kSysid, seq_++));
 }
 
 void GroundStation::send_param_set(const mavlink::ParamSet& msg) {
-  send(msg.to_packet(sysid_, seq_++));
+  send(msg.to_packet(kSysid, seq_++));
 }
 
 void GroundStation::send_raw_param_set(const support::Bytes& payload) {
   mavlink::Packet p;
-  p.sysid = sysid_;
+  p.sysid = kSysid;
   p.seq = seq_++;
   p.compid = 1;
   p.msgid = static_cast<std::uint8_t>(mavlink::MsgId::ParamSet);

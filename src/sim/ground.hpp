@@ -20,8 +20,7 @@ namespace mavr::sim {
 
 class GroundStation {
  public:
-  explicit GroundStation(Board& board, std::uint8_t sysid = 255)
-      : board_(board), sysid_(sysid) {}
+  explicit GroundStation(Board& board) : board_(board) {}
 
   /// Sends one MAVLink packet to the UAV.
   void send(const mavlink::Packet& packet);
@@ -49,7 +48,6 @@ class GroundStation {
 
  private:
   Board& board_;
-  std::uint8_t sysid_;
   std::uint8_t seq_ = 0;
   mavlink::Parser parser_;
   std::optional<mavlink::RawImu> last_imu_;

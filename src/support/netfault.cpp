@@ -38,6 +38,9 @@ struct NetFaultPlane::Impl {
 
 namespace {
 
+/// Bound on one injected stall: delays are uniform in [1, kDelayMaxMs].
+constexpr std::uint32_t kDelayMaxMs = 20;
+
 /// One connection's fault schedule: independent send/recv draw streams
 /// forked off the plane's root, tallying into the plane's counters. The
 /// half-open flag is sticky — once the cable is "pulled" the connection
@@ -56,11 +59,10 @@ class ConnectionFaults : public SocketFaultHook {
       plan.half_open = true;
       return plan;
     }
-    if (!cfg.inject_send) return plan;
     std::lock_guard<std::mutex> lock(send_mu_);
     if (cfg.delay > 0 && send_rng_.chance(cfg.delay)) {
-      plan.delay_ms = static_cast<std::uint32_t>(
-          send_rng_.range(1, cfg.delay_max_ms < 1 ? 1 : cfg.delay_max_ms));
+      plan.delay_ms =
+          static_cast<std::uint32_t>(send_rng_.range(1, kDelayMaxMs));
       plane_->delays.fetch_add(1, std::memory_order_relaxed);
     }
     if (cfg.half_open > 0 && send_rng_.chance(cfg.half_open)) {
@@ -91,12 +93,11 @@ class ConnectionFaults : public SocketFaultHook {
 
   std::uint32_t plan_recv_delay() override {
     const NetFaultConfig& cfg = plane_->config;
-    if (!cfg.inject_recv || cfg.delay <= 0) return 0;
+    if (cfg.delay <= 0) return 0;
     std::lock_guard<std::mutex> lock(recv_mu_);
     if (!recv_rng_.chance(cfg.delay)) return 0;
     plane_->delays.fetch_add(1, std::memory_order_relaxed);
-    return static_cast<std::uint32_t>(
-        recv_rng_.range(1, cfg.delay_max_ms < 1 ? 1 : cfg.delay_max_ms));
+    return static_cast<std::uint32_t>(recv_rng_.range(1, kDelayMaxMs));
   }
 
   bool recv_hung() override { return hung_.load(std::memory_order_relaxed); }

@@ -11,9 +11,8 @@
 //  * FaultyListener wraps any Listener and arms each accepted Socket;
 //  * faulty_connect arms the initiating side of a connection;
 //
-// so either end of the wire (or both) can be made hostile independently —
-// the "per-direction" knob. Injected faults are the ones real multi-
-// machine deployments produce:
+// so either end of the wire (or both) can be made hostile independently.
+// Injected faults are the ones real multi-machine deployments produce:
 //
 //  * frame drops            — send succeeds locally, peer sees silence;
 //  * byte corruption        — one transit bit flips; the CRC framing
@@ -45,12 +44,6 @@ struct NetFaultConfig {
   double short_write = 0;   ///< per send: prefix + EOF (torn stream)
   double half_open = 0;     ///< per send: connection goes silent for good
   double delay = 0;         ///< per send and per recv: bounded stall
-  std::uint32_t delay_max_ms = 20;  ///< stall bound (uniform in [1, max])
-
-  /// Direction gates: a plane can sit on only the outbound or only the
-  /// inbound half of its end of the wire.
-  bool inject_send = true;
-  bool inject_recv = true;
 
   /// Uniform fault pressure `rate` on every class except half_open, which
   /// is scaled down (a hang costs a full peer timeout to recover from, so

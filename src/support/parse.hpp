@@ -4,7 +4,7 @@
 // "1e6" parses as 1, "xyz" as 0, and "-1" wraps to UINT64_MAX — all
 // silently. These helpers consume the *entire* token or return nullopt, so
 // a tool can report the offending flag instead of running the wrong
-// campaign. Shared by mavr-campaign and mavr-campaignd.
+// campaign. Shared by every tool's numeric flags.
 #pragma once
 
 #include <cstdint>
@@ -13,14 +13,16 @@
 
 namespace mavr::support {
 
-/// Unsigned 64-bit integer. Accepts decimal plus 0x/0 prefixes (strtoull
-/// base 0); rejects empty input, whitespace, any sign, trailing junk
+/// Unsigned 64-bit integer in strtoull `base`: the default 0 accepts
+/// decimal plus 0x/0 prefixes, 16 takes bare hex (an optional 0x
+/// included). Rejects empty input, whitespace, any sign, trailing junk
 /// ("1e6", "10k"), and out-of-range values.
-std::optional<std::uint64_t> parse_u64(std::string_view text);
+std::optional<std::uint64_t> parse_u64(std::string_view text, int base = 0);
 
 /// parse_u64 additionally constrained to [lo, hi] (inclusive).
 std::optional<std::uint64_t> parse_u64_in(std::string_view text,
-                                          std::uint64_t lo, std::uint64_t hi);
+                                          std::uint64_t lo, std::uint64_t hi,
+                                          int base = 0);
 
 /// Unsigned 32-bit integer (parse_u64 range-checked to u32).
 std::optional<std::uint32_t> parse_u32(std::string_view text);

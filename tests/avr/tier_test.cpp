@@ -15,6 +15,7 @@
 #include "firmware/generator.hpp"
 #include "firmware/profile.hpp"
 #include "sim/board.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "toolchain/encode.hpp"
 
@@ -66,6 +67,66 @@ TEST(TierInvalidation, PatchedFlashByteNeverRunsStaleCode) {
   EXPECT_EQ(cpu.state(), avr::CpuState::Stopped);
   EXPECT_EQ(cpu.data().raw(24), 0x07);  // stale code would leave 0x05
   EXPECT_GE(cpu.tier_stats().invalidations, 1u);
+}
+
+TEST(TierInvalidation, ReflashFromADeviceHandlerInsideRunThrows) {
+  // Flash changes only between runs. A low-I/O write handler that
+  // reprograms flash mid-run (patching `inc r5` to `inc r6`) is refused
+  // under the interpreter, the tier and the traced interpreter alike, and
+  // a reflash between runs still executes the new code in all three.
+  struct Reflasher {
+    Cpu* cpu = nullptr;
+    bool armed = true;
+    support::Bytes patched;
+  };
+  constexpr std::uint8_t kIoReflash = 0x01;
+  const std::vector<std::uint16_t> original = {
+      toolchain::enc_imm(Op::Ldi, 16, 0x01),
+      toolchain::enc_out(kIoReflash, 16),
+      toolchain::enc_one_reg(Op::Inc, 5),
+      toolchain::enc_no_operand(Op::Break)};
+  std::vector<std::uint16_t> patched = original;
+  patched[2] = toolchain::enc_one_reg(Op::Inc, 6);
+
+  enum Mode { kInterp, kTier, kTraced };
+  for (const Mode mode : {kInterp, kTier, kTraced}) {
+    SCOPED_TRACE(mode == kInterp ? "interpreter"
+                 : mode == kTier ? "tier"
+                                 : "traced");
+    Cpu cpu(avr::atmega2560());
+    avr::Tracer null_tracer;
+    cpu.set_exec_tier(mode == kTier);
+    if (mode == kTraced) cpu.set_tracer(&null_tracer);
+    Reflasher reflasher{&cpu, true, to_image(patched)};
+    reflasher.patched.resize(cpu.spec().flash_page_bytes, 0xFF);
+    cpu.io().on_write(
+        avr::kIoBase + kIoReflash,
+        [](void* self, std::uint8_t) {
+          auto* r = static_cast<Reflasher*>(self);
+          if (r->armed) r->cpu->flash().program_page(0, r->patched);
+        },
+        &reflasher);
+
+    cpu.flash().program(to_image(original));
+    cpu.reset();
+    EXPECT_THROW(cpu.run(100), support::PreconditionError);
+    cpu.flash().program(to_image(original));
+    cpu.reset();
+    EXPECT_THROW(
+        {
+          for (int i = 0; i < 4; ++i) cpu.step();
+        },
+        support::PreconditionError);
+
+    // Between runs: the next run executes the reprogrammed code.
+    reflasher.armed = false;
+    cpu.flash().program(to_image(patched));
+    cpu.reset();
+    EXPECT_NO_THROW(cpu.run(100));
+    EXPECT_EQ(cpu.state(), avr::CpuState::Stopped);
+    EXPECT_EQ(cpu.data().raw(5), 0);
+    EXPECT_EQ(cpu.data().raw(6), 1);
+  }
 }
 
 TEST(TierInterrupt, DeliveryLatencyMatchesInterpreterExactly) {

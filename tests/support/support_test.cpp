@@ -302,6 +302,26 @@ TEST(Parse, U64InEnforcesInclusiveRange) {
   EXPECT_FALSE(parse_u64_in("1000", 1, 256).has_value());
 }
 
+TEST(Parse, U64Base16TakesBareHex) {
+  EXPECT_EQ(parse_u64("1b4", 16), 0x1B4u);
+  EXPECT_EQ(parse_u64("FF", 16), 0xFFu);
+  EXPECT_EQ(parse_u64("0x1b4", 16), 0x1B4u);
+  EXPECT_EQ(parse_u64("10", 16), 16u);
+  EXPECT_FALSE(parse_u64("zz", 16).has_value());
+  EXPECT_FALSE(parse_u64("1g", 16).has_value());
+  EXPECT_FALSE(parse_u64("-1", 16).has_value());
+  EXPECT_FALSE(parse_u64("", 16).has_value());
+  EXPECT_FALSE(parse_u64("1b4", 10).has_value());
+}
+
+TEST(Parse, U64InBoundsHexToTheDataSpace) {
+  EXPECT_EQ(parse_u64_in("21ff", 0, 0x21FF, 16), 0x21FFu);
+  EXPECT_EQ(parse_u64_in("0", 0, 0x21FF, 16), 0u);
+  EXPECT_FALSE(parse_u64_in("10000", 0, 0x21FF, 16).has_value());
+  EXPECT_FALSE(parse_u64_in("2200", 0, 0x21FF, 16).has_value());
+  EXPECT_FALSE(parse_u64_in("zz", 0, 0x21FF, 16).has_value());
+}
+
 TEST(Parse, U32RejectsValuesPastTheType) {
   EXPECT_EQ(parse_u32("4294967295"), 4294967295u);
   EXPECT_FALSE(parse_u32("4294967296").has_value());

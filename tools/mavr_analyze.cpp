@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "analysis/analyze.hpp"
+#include "avr/mcu.hpp"
 #include "defense/preprocess.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
 
 namespace {
@@ -59,8 +61,15 @@ int main(int argc, char** argv) {
         options.taint_sources.clear();
         custom_sources = true;
       }
-      options.taint_sources.push_back(static_cast<std::uint16_t>(
-          std::strtoul(argv[++i], nullptr, 16)));
+      // Bare hex, bounded to the ATmega2560 data space.
+      const char* v = argv[++i];
+      const auto addr = support::parse_u64_in(
+          v, 0, avr::atmega2560().ramend(), /*base=*/16);
+      if (!addr) {
+        std::fprintf(stderr, "invalid value for --taint-source: '%s'\n", v);
+        return 2;
+      }
+      options.taint_sources.push_back(static_cast<std::uint16_t>(*addr));
     } else if (argv[i][0] == '-') {
       usage();
     } else {

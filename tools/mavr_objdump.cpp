@@ -4,6 +4,7 @@
 //   mavr-objdump <container.hex> [--symbols] [--gadgets]
 //                [--disasm <byte-addr-hex>] [--cfg [byte-addr-hex]]
 //                [--headers]
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include "analysis/cfg.hpp"
 #include "attack/gadgets.hpp"
 #include "defense/preprocess.hpp"
+#include "support/parse.hpp"
 #include "toolchain/disasm.hpp"
 #include "toolchain/intelhex.hpp"
 
@@ -27,6 +29,17 @@ std::string read_file(const char* path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// A bare-hex byte address flag value; exits 2 when malformed.
+std::uint32_t hex_addr(const char* flag, const char* value) {
+  const auto addr =
+      mavr::support::parse_u64_in(value, 0, UINT32_MAX, /*base=*/16);
+  if (!addr) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, value);
+    std::exit(2);
+  }
+  return static_cast<std::uint32_t>(*addr);
 }
 
 }  // namespace
@@ -88,7 +101,7 @@ int main(int argc, char** argv) {
       std::uint32_t want = 0;
       bool have_want = false;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        want = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 16));
+        want = hex_addr("--cfg", argv[++i]);
         have_want = true;
       }
       bool found = false;
@@ -108,8 +121,7 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--disasm") == 0 && i + 1 < argc) {
       any = true;
-      const std::uint32_t addr =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 16));
+      const std::uint32_t addr = hex_addr("--disasm", argv[++i]);
       // Find the containing function via the blob.
       std::size_t idx = blob.function_addrs.size();
       for (std::size_t k = 0; k < blob.function_addrs.size(); ++k) {

@@ -6,13 +6,13 @@
 // The output is a plain firmware HEX (what gets programmed into the
 // application processor); it contains no symbol information.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "defense/patcher.hpp"
 #include "defense/preprocess.hpp"
+#include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
 
 int main(int argc, char** argv) {
@@ -27,7 +27,13 @@ int main(int argc, char** argv) {
   bool stats = false;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
+      const char* v = argv[++i];
+      const auto parsed = support::parse_u64(v);
+      if (!parsed) {
+        std::fprintf(stderr, "invalid value for --seed: '%s'\n", v);
+        return 2;
+      }
+      seed = *parsed;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
     }

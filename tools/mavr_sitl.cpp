@@ -5,8 +5,8 @@
 // examples/stealthy_attack.cpp for the library-level attack scenarios.)
 //
 //   mavr-sitl <container.hex> [--seconds N] [--mavr]
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -19,6 +19,7 @@
 #include "sim/board.hpp"
 #include "sim/flight.hpp"
 #include "sim/ground.hpp"
+#include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
 
 int main(int argc, char** argv) {
@@ -32,7 +33,13 @@ int main(int argc, char** argv) {
   bool use_mavr = false;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      seconds = std::atoi(argv[++i]);
+      const char* v = argv[++i];
+      const auto parsed = support::parse_u64_in(v, 0, INT_MAX);
+      if (!parsed) {
+        std::fprintf(stderr, "invalid value for --seconds: '%s'\n", v);
+        return 2;
+      }
+      seconds = static_cast<int>(*parsed);
     } else if (std::strcmp(argv[i], "--mavr") == 0) {
       use_mavr = true;
     }

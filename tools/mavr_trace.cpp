@@ -21,6 +21,7 @@
 #include "firmware/profile.hpp"
 #include "sim/board.hpp"
 #include "sim/ground.hpp"
+#include "support/parse.hpp"
 #include "trace/session.hpp"
 
 namespace {
@@ -67,20 +68,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto need_u64 = [&](const char* flag) -> std::uint64_t {
+      const char* v = need_value(flag);
+      const auto parsed = support::parse_u64(v);
+      if (!parsed) {
+        std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, v);
+        std::exit(2);
+      }
+      return *parsed;
+    };
     if (std::strcmp(argv[i], "--profile") == 0) {
       profile_name = need_value("--profile");
     } else if (std::strcmp(argv[i], "--cycles") == 0) {
-      cycles = std::strtoull(need_value("--cycles"), nullptr, 0);
+      cycles = need_u64("--cycles");
     } else if (std::strcmp(argv[i], "--events") == 0) {
       events = need_value("--events");
     } else if (std::strcmp(argv[i], "--capacity") == 0) {
-      capacity = std::strtoull(need_value("--capacity"), nullptr, 0);
+      capacity = need_u64("--capacity");
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
       trace_out = need_value("--trace-out");
     } else if (std::strcmp(argv[i], "--csv-out") == 0) {
       csv_out = need_value("--csv-out");
     } else if (std::strcmp(argv[i], "--top") == 0) {
-      top = std::strtoull(need_value("--top"), nullptr, 0);
+      top = need_u64("--top");
     } else if (std::strcmp(argv[i], "--watch-sp") == 0) {
       char mode[16] = {};
       const char* spec = need_value("--watch-sp");
