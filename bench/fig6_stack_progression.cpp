@@ -2,6 +2,8 @@
 // stealthy attack, captured live from the simulator at the same seven
 // stages the paper shows.
 #include <cstdio>
+#include <functional>
+#include <utility>
 
 #include "attack/attacks.hpp"
 #include "bench_util.hpp"
@@ -9,6 +11,30 @@
 #include "sim/board.hpp"
 #include "sim/ground.hpp"
 #include "support/hexdump.hpp"
+
+namespace {
+
+/// Calls `hit` at each arrival at one of up to avr::kMaxBreakpoints PCs,
+/// before the instruction there runs. No other hooks are wanted, so the
+/// board keeps flying on the superblock tier between stages.
+class StageBreakpoints : public mavr::avr::Tracer {
+ public:
+  StageBreakpoints(std::initializer_list<std::uint32_t> pcs,
+                   std::function<void(std::uint32_t)> hit)
+      : hit_(std::move(hit)) {
+    interest_.events = 0;
+    for (std::uint32_t pc : pcs) interest_.breakpoints.add(pc);
+  }
+  bool on_breakpoint(const mavr::avr::Cpu&, std::uint32_t pc) override {
+    hit_(pc);
+    return false;
+  }
+
+ private:
+  std::function<void(std::uint32_t)> hit_;
+};
+
+}  // namespace
 
 int main() {
   using namespace mavr;
@@ -44,44 +70,46 @@ int main() {
 
   int stage = 0;
   int store_hits = 0;
-  board.set_trace_hook([&](const avr::Cpu& cpu) {
-    if (stage == 0 && cpu.pc() == handler_word) {
+  const auto on_stage = [&](std::uint32_t pc) {
+    if (stage == 0 && pc == handler_word) {
       dump("(i) clean stack before payload execution", tail, 24);
       stage = 1;
-    } else if (stage == 1 && cpu.pc() == stk_word) {
+    } else if (stage == 1 && pc == stk_word) {
       dump("(ii) dirty stack after payload injection (saved Y and return "
            "address overwritten)",
            tail, 24);
       stage = 2;
-    } else if (stage == 2 && cpu.pc() == store_word) {
+    } else if (stage == 2 && pc == store_word) {
       dump("(iii) stack after execution of Gadget1 (SP pivoted into the "
            "buffer; chain consumed up to the first write round)",
            frame.buffer_addr, 24);
       ++store_hits;
       stage = 3;
-    } else if (stage == 3 && cpu.pc() == store_word) {
+    } else if (stage == 3 && pc == store_word) {
       dump("(iv) stack after execution of the payload (attacker bytes "
            "written; repair rounds queued)",
            frame.buffer_addr + 24, 24);
       ++store_hits;
       stage = 4;
-    } else if (stage == 4 && cpu.pc() == store_word) {
+    } else if (stage == 4 && pc == store_word) {
       dump("(v) stack before execution of Gadget2 for SP address repair",
            frame.p - 8, 16);
       ++store_hits;
       stage = 5;
-    } else if (stage == 5 && cpu.pc() == stk_word) {
+    } else if (stage == 5 && pc == stk_word) {
       dump("(vi) stack after execution of Gadget1 again to move to the "
            "original location",
            frame.p - 8, 12);
       stage = 6;
     }
-  });
+  };
+  StageBreakpoints stages({handler_word, stk_word, store_word}, on_stage);
+  board.cpu().set_tracer(&stages);
 
   const attack::Write3 write{plan.gyro_cal_addr, {0x11, 0x22, 0x33}};
   gcs.send_raw_param_set(plan.builder().v2_payload({write}));
   board.run_cycles(5'000'000);
-  board.set_trace_hook(nullptr);
+  board.cpu().set_tracer(nullptr);
 
   dump("(vii) repaired stack for continued execution", tail, 24);
   std::printf("\nvictim state: %s; gyro calibration now %02X %02X %02X "

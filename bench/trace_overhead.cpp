@@ -1,8 +1,8 @@
-// Tracer and detector overhead on the interpreter hot loop: the same
-// firmware run untraced (the single null-pointer branch), under each
-// concrete sink, under the full Session, and with the intrusion-detection
-// engine armed under each single detector and the full set (DESIGN.md
-// §10). BM_Untraced is the baseline every traced case is read against —
+// Tracer and detector overhead: the same firmware run untraced (the
+// single null-pointer branch), under each concrete sink and the full
+// Session (all on the traced interpreter), and with the
+// intrusion-detection engine armed under each single detector and the
+// full set (on the event-emitting superblock tier; DESIGN.md §10, §16). BM_Untraced is the baseline every traced case is read against —
 // that is the zero-cost-when-disabled contract of the observability
 // layer. The spread between BM_Untraced and BM_AllDetectors is the
 // on-board price of the detection layer the paper argues randomization
@@ -137,8 +137,8 @@ void bench_with_detectors(benchmark::State& state, unsigned detectors) {
 }
 
 void BM_EngineNoDetectors(benchmark::State& state) {
-  // The armed engine with every detector masked off: the cost of the
-  // instrumented interpreter instantiation plus the mask checks.
+  // The armed engine with every detector masked off: it asks for no
+  // hooks, so this is the event-emitting tier with nothing to emit.
   bench_with_detectors(state, detect::kDetectNone);
 }
 BENCHMARK(BM_EngineNoDetectors)->Unit(benchmark::kMicrosecond);

@@ -10,6 +10,37 @@ namespace mavr::attack {
 
 using avr::Op;
 
+namespace {
+
+/// Stops the replica at the vulnerable handler's first instruction and
+/// records the frame it was entered with. It asks for no hooks beyond its
+/// breakpoint, so the replica flies on the superblock tier up to there.
+class EntryProbe : public avr::Tracer {
+ public:
+  EntryProbe(std::uint32_t entry_word, VictimFrame& frame) : frame_(frame) {
+    interest_.events = 0;
+    interest_.breakpoints.add(entry_word);
+  }
+
+  bool on_breakpoint(const avr::Cpu& cpu, std::uint32_t) override {
+    frame_.p = cpu.sp();
+    for (unsigned r = 0; r < 32; ++r) frame_.regs_at_entry[r] = cpu.reg(r);
+    for (unsigned i = 0; i < 3; ++i) {
+      frame_.ret_bytes[i] = cpu.data().raw(frame_.p + 1 + i);
+    }
+    captured_ = true;
+    return true;  // nothing after the entry matters: end the run here
+  }
+
+  bool captured() const { return captured_; }
+
+ private:
+  VictimFrame& frame_;
+  bool captured_ = false;
+};
+
+}  // namespace
+
 std::uint16_t parse_frame_bytes(const toolchain::Image& image,
                                 std::uint32_t fn_byte_addr) {
   // Walk the prologue: pushes, then `in r28/r29`, then either
@@ -47,22 +78,11 @@ VictimFrame probe_victim(const toolchain::Image& stock_image,
 
   VictimFrame frame;
   frame.frame_bytes = frame_bytes;
-  bool captured = false;
-  const std::uint32_t entry_word = handler_byte_addr / 2;
-  replica.set_trace_hook([&](const avr::Cpu& cpu) {
-    if (captured || cpu.pc() != entry_word) return;
-    captured = true;
-    frame.p = cpu.sp();
-    for (unsigned r = 0; r < 32; ++r) {
-      frame.regs_at_entry[r] = cpu.reg(r);
-    }
-    for (unsigned i = 0; i < 3; ++i) {
-      frame.ret_bytes[i] = cpu.data().raw(frame.p + 1 + i);
-    }
-  });
-  replica.run_cycles(3'000'000);
-  replica.set_trace_hook(nullptr);
-  MAVR_REQUIRE(captured, "probe never reached the vulnerable handler");
+  EntryProbe probe(handler_byte_addr / 2, frame);
+  replica.cpu().set_tracer(&probe);
+  replica.run_cycles(3'000'000);  // returns at the capture
+  replica.cpu().set_tracer(nullptr);
+  MAVR_REQUIRE(probe.captured(), "probe never reached the vulnerable handler");
   frame.buffer_addr = static_cast<std::uint16_t>(frame.p - frame_bytes - 1);
   frame.ram_end = static_cast<std::uint16_t>(replica.cpu().spec().ramend());
   return frame;

@@ -46,18 +46,58 @@ struct FaultInfo {
 
 class Cpu;
 
-/// Observation hooks invoked from Cpu::step() while a tracer is installed.
+/// Hook classes a Tracer can ask for (TraceInterest::events).
+enum TraceEvent : unsigned {
+  kTraceRetire = 1u << 0,
+  kTraceCall = 1u << 1,
+  kTraceRet = 1u << 2,
+  kTraceIrq = 1u << 3,
+  kTraceSpChange = 1u << 4,
+  kTraceLoad = 1u << 5,
+  kTraceStore = 1u << 6,
+  kTraceFault = 1u << 7,
+};
+inline constexpr unsigned kTraceAll = 0xFF;
+/// The hooks the superblock tier can deliver: a tracer whose mask stays
+/// inside this set keeps Cpu::run() on the tier.
+inline constexpr unsigned kTierTraceEvents =
+    kTraceCall | kTraceRet | kTraceIrq | kTraceSpChange | kTraceFault;
+
+/// What a Tracer needs from the core. The default — every hook, an empty
+/// SP window, no breakpoints — runs the fully traced interpreter.
 ///
-/// The disabled path costs exactly one branch on a null pointer per step;
-/// when enabled, step() switches to an instrumented instantiation of the
-/// interpreter loop, so the hooks below fire with zero cost added to the
-/// untraced build.
+/// Contract: a hook class left out of `events`, and an on_sp_change whose
+/// old and new SP both lie inside [sp_lo, sp_hi] as published when the
+/// instruction began, must be a no-op for the tracer. The core may still
+/// deliver such events (every fallback to the interpreter delivers all of
+/// them), but need not. The window may move in any hook; the mask and the
+/// breakpoints are read once per run()/step().
+struct TraceInterest {
+  unsigned events = kTraceAll;
+  std::uint16_t sp_lo = 1;  ///< lo > hi: every SP change is guaranteed
+  std::uint16_t sp_hi = 0;
+  /// PCs (words) at which on_breakpoint fires, before the instruction
+  /// there executes; up to kMaxBreakpoints (tier.hpp).
+  BreakpointSet breakpoints;
+
+  bool sp_outside(std::uint16_t sp) const { return sp < sp_lo || sp > sp_hi; }
+};
+
+/// Observation hooks invoked from Cpu::step()/run() while a tracer is
+/// installed.
+///
+/// With no tracer the core runs hook-free instantiations; with one, run()
+/// picks the fully traced interpreter or — when the tracer's interest
+/// (TraceInterest) fits kTierTraceEvents — an event-emitting instantiation
+/// of the superblock tier (DESIGN.md §7, §16).
 ///
 /// Hook timing: on_load/on_store/on_call/on_ret fire *during* the
 /// instruction (the Cpu still shows the pre-advance PC); on_sp_change fires
 /// after the executing instruction's data effects but before the PC
 /// advances; on_retire fires after the instruction fully completes;
-/// on_irq fires after the vector dispatch pushed the return address.
+/// on_irq fires after the vector dispatch pushed the return address;
+/// on_breakpoint fires at an instruction boundary, before the instruction
+/// at the breakpoint executes.
 class Tracer {
  public:
   virtual ~Tracer() = default;
@@ -107,6 +147,18 @@ class Tracer {
   virtual void on_fault(const Cpu& cpu, const FaultInfo& info) {
     (void)cpu, (void)info;
   }
+  /// Execution reached one of interest().breakpoints. Returning true ends
+  /// the current run()/step() right there, with the core state unchanged;
+  /// the next run() starting at that PC fires the breakpoint again.
+  virtual bool on_breakpoint(const Cpu& cpu, std::uint32_t pc_words) {
+    (void)cpu, (void)pc_words;
+    return false;
+  }
+
+  const TraceInterest& interest() const { return interest_; }
+
+ protected:
+  TraceInterest interest_;
 };
 
 /// One simulated AVR core with its Harvard memories and I/O bus.
@@ -197,8 +249,8 @@ class Cpu {
 
   /// Installs (or clears, with nullptr) the observation hooks. The Cpu does
   /// not own the tracer; it must outlive the attachment. With no tracer the
-  /// interpreter runs a hook-free instantiation — the only residual cost is
-  /// one null check per run()/step() entry.
+  /// core runs hook-free instantiations — the only residual cost is one
+  /// null check per run()/step() entry.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
@@ -207,11 +259,12 @@ class Cpu {
   std::uint32_t last_ret_raw_words() const { return last_ret_raw_words_; }
   bool last_ret_wrapped() const { return last_ret_wrapped_; }
 
-  /// Enables/disables the superblock execution tier for untraced run()s
-  /// (default on). Bit-identical to the interpreter either way — the
-  /// toggle exists for benchmarking and for pinning that equivalence.
-  /// Attaching a tracer transparently demotes run() to the traced
-  /// interpreter regardless of this setting; step() always interprets.
+  /// Enables/disables the superblock execution tier for run() (default
+  /// on). Bit-identical to the interpreter either way — the toggle exists
+  /// for benchmarking and for pinning that equivalence. A tracer whose
+  /// interest asks for more than kTierTraceEvents demotes run() to the
+  /// traced interpreter regardless of this setting; step() always
+  /// interprets.
   void set_exec_tier(bool on) { exec_tier_ = on; }
   bool exec_tier() const { return exec_tier_; }
 
@@ -223,13 +276,21 @@ class Cpu {
   /// runs until the core leaves Running or `deadline` (absolute cycles) is
   /// crossed. Holding the loop inside one function keeps the hot counters
   /// (PC, cycle count, retire count) in registers across instructions.
+  /// The traced instantiation also fires breakpoints (trace_key_) at
+  /// every instruction boundary and stops when a hook asks it to.
   template <bool kTraced>
   void step_impl(std::uint64_t deadline, bool single);
   /// Superblock dispatch loop: executes translated blocks until the
   /// deadline, falling back to single cycle-exact step_impl() calls at
   /// every boundary the tier cannot prove equivalent (pending interrupt,
   /// device-dispatched access, deadline inside the block, untranslatable
-  /// head). See DESIGN.md §16 for the fallback contract.
+  /// head). The kEvents instantiation delivers an attached tracer's
+  /// kTierTraceEvents from the ops that perform them and falls back to
+  /// step_impl<true>. See DESIGN.md §16 for the fallback contract.
+  template <bool kEvents>
+#if defined(__GNUC__) && !defined(__clang__)
+  __attribute__((optimize("no-crossjumping")))  // see tier.cpp
+#endif
   void run_tier(std::uint64_t deadline);
   /// Interrupt delivery shared by the interpreter loop and the tier
   /// dispatcher — one definition, so delivery timing cannot diverge.
@@ -251,6 +312,9 @@ class Cpu {
   std::uint8_t pop_byte();
   void push_pc(std::uint32_t ret_words);
   std::uint32_t pop_pc();
+  /// Loads trace_key_ from the attached tracer (or clears it) and drops a
+  /// stale stop request; called at run()/step() entry.
+  void resolve_trace_key();
   /// Records a RET/RETI target for smashed-stack forensics.
   void note_ret(std::uint32_t raw_words) {
     last_ret_raw_words_ = raw_words;
@@ -278,6 +342,11 @@ class Cpu {
   CpuState state_ = CpuState::Running;
   FaultInfo fault_;
   Tracer* tracer_ = nullptr;
+  /// What the attached tracer's interest fixes for the current run():
+  /// its breakpoints and whether SP stores end tier blocks.
+  TierKey trace_key_;
+  /// Set when on_breakpoint asks the current run()/step() to end.
+  bool stop_ = false;
   std::uint32_t last_ret_raw_words_ = 0;
   bool last_ret_wrapped_ = false;
 
@@ -289,16 +358,18 @@ class Cpu {
   std::vector<IrqLine> irq_lines_;
 
   /// Superblock tier (see tier.hpp). The map allocates lazily on the
-  /// first untraced run(), so traced/step-driven cores never pay for it.
+  /// first tier run(), so interpreter-only cores never pay for it.
   SuperblockCache tier_;
   bool exec_tier_ = true;
 
-  // Decode cache, one entry per flash word; size_words == 0 marks a slot
-  // as not-yet-decoded (every real decode yields 1 or 2). Re-synced to the
-  // flash generation at run()/step() entry rather than per instruction —
-  // flash can only be reprogrammed from outside the interpreter loop (SPM
-  // is modelled as a no-op, and run()/step() reject a handler reflash).
-  std::vector<Instr> cache_;
+  // Decode cache, one entry per flash word; size_words == 0 (a zero page)
+  // marks a slot as not-yet-decoded (every real decode yields 1 or 2).
+  // Memory is committed only for the pages of code actually interpreted,
+  // and a reflash re-zeroes only those. Re-synced to the flash generation
+  // at run()/step() entry rather than per instruction — flash can only be
+  // reprogrammed from outside the interpreter loop (SPM is modelled as a
+  // no-op, and run()/step() reject a handler reflash).
+  LazyTable<Instr> cache_;
   std::uint64_t cache_generation_ = ~std::uint64_t{0};
 };
 

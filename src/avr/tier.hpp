@@ -9,8 +9,8 @@
 // side-effect-free against the I/O bus (the dispatch map is resolved at
 // translate time, so unclaimed I/O-region accesses compile to plain RAM
 // moves). A peephole pass then fuses adjacent pure-op pairs into single
-// dispatches. The executor (Cpu::run_tier in cpu.cpp) runs a block with
-// PC, the cycle counter and SREG in locals and only re-enters the
+// dispatches. The executor (Cpu::run_tier, also in tier.cpp) runs a block
+// with PC, the cycle counter and SREG in locals and only re-enters the
 // interpreter — one cycle-exact single step — at block boundaries that
 // need it: an interrupt is pending, an accessed address is
 // device-dispatched, the stack leaves plain RAM, or the run/tick
@@ -23,16 +23,52 @@
 // map — O(1) per reflash, which matters because the MAVR defense
 // reprograms flash constantly. A handler registered after translation
 // invalidates the same way, so statically-resolved dispatch never goes
-// stale.
+// stale, and so does a change of TierKey (an attached tracer's
+// breakpoints and SP interest shape where blocks end).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "avr/isa.hpp"
+#include "avr/lazy_table.hpp"
 #include "avr/memory.hpp"
 
 namespace mavr::avr {
+
+inline constexpr std::size_t kMaxBreakpoints = 4;
+
+/// A tracer's breakpoints: a few word PCs, tested linearly.
+struct BreakpointSet {
+  std::array<std::uint32_t, kMaxBreakpoints> pcs{};
+  std::uint8_t count = 0;
+
+  /// Adds `pc_words`; false when the set is full.
+  bool add(std::uint32_t pc_words) {
+    if (count == kMaxBreakpoints) return false;
+    pcs[count++] = pc_words;
+    return true;
+  }
+  bool contains(std::uint32_t pc_words) const {
+    for (std::uint8_t i = 0; i < count; ++i) {
+      if (pcs[i] == pc_words) return true;
+    }
+    return false;
+  }
+  bool operator==(const BreakpointSet&) const = default;
+};
+
+/// What a translation depends on besides flash and the I/O map. Every
+/// breakpoint PC is a block head, and an untranslatable one, so it always
+/// runs on the traced interpreter, which fires it; `sp_stores_end` ends
+/// blocks before SPL/SPH stores so an SP-interested tracer sees them from
+/// the interpreter too.
+struct TierKey {
+  BreakpointSet breakpoints;
+  bool sp_stores_end = false;
+  bool operator==(const TierKey&) const = default;
+};
 
 /// Every micro-op kind, straight-line kinds first and terminators last
 /// (after kFirstTerminator). The executor's dispatch table is generated
@@ -99,12 +135,19 @@ struct TierOp {
   std::uint32_t target2 = 0;     ///< fall-through / pushed return address
 };
 
+/// SP excursion of one block segment: the ops from the head, or from a
+/// call/ret op, up to the next call/ret op. PUSH/POP are the only other
+/// ops that move SP inside a block, so every SP value the segment passes
+/// through lies in [sp - down, sp + up] for the SP at its start. kCallPush
+/// and kCondRet carry the range of the segment after them in `a`/`b`.
 struct TierBlock {
   std::uint32_t first_op = 0;  ///< index into SuperblockCache::arena
   std::uint32_t num_ops = 0;   ///< including the terminator
   std::uint32_t head_pc = 0;
   std::uint32_t worst_cycles = 0;  ///< upper bound incl. taken terminator
   bool interp_only = false;  ///< head untranslatable: single-step instead
+  std::uint8_t sp_down = 0;  ///< first segment's SP range (see above)
+  std::uint8_t sp_up = 0;
 };
 
 /// Counters for the bench layer and the invalidation regression tests.
@@ -122,22 +165,26 @@ struct TierStats {
 
 /// Translation cache: one map slot per flash word holding an epoch-tagged
 /// block index. Stale epochs read as "not translated", so invalidation
-/// never walks the map.
+/// never walks the map, and untouched map pages (zero: epoch 0, never
+/// current) commit no memory.
 class SuperblockCache {
  public:
   /// Sizes the map on first use and invalidates when the flash generation
-  /// moved (any bootloader erase/program since the last run) or a new I/O
+  /// moved (any bootloader erase/program since the last run), a new I/O
   /// handler was registered (translation resolves the dispatch map
-  /// statically, so a later registration must retranslate).
-  void sync(const ProgramMemory& flash, std::uint64_t io_handler_gen) {
-    if (map.empty()) map.assign(flash.size_words(), 0);
+  /// statically, so a later registration must retranslate) or the key
+  /// changed.
+  void sync(const ProgramMemory& flash, std::uint64_t io_handler_gen,
+            const TierKey& run_key) {
+    if (map.empty()) map = LazyTable<std::uint64_t>(flash.size_words());
     if (generation != flash.generation() ||
-        handler_generation != io_handler_gen) {
+        handler_generation != io_handler_gen || !(key == run_key)) {
       if (generation != flash.generation() && !blocks.empty()) {
         ++stats.invalidations;
       }
       generation = flash.generation();
       handler_generation = io_handler_gen;
+      key = run_key;
       if (!blocks.empty()) {
         blocks.clear();
         arena.clear();
@@ -152,10 +199,11 @@ class SuperblockCache {
     return &blocks[static_cast<std::uint32_t>(slot)];
   }
 
-  /// Translates the superblock headed at `head_pc` and registers it in the
-  /// map. `dispatch` is the I/O bus dispatch-flag map, resolved statically
-  /// (sync() invalidates on any later handler registration). Returns a
-  /// reference valid until the next translate()/sync().
+  /// Translates the superblock headed at `head_pc` under `key` and
+  /// registers it in the map. `dispatch` is the I/O bus dispatch-flag map,
+  /// resolved statically (sync() invalidates on any later handler
+  /// registration). Returns a reference valid until the next
+  /// translate()/sync().
   const TierBlock& translate(const ProgramMemory& flash,
                              const std::uint8_t* dispatch,
                              std::uint32_t head_pc, std::uint32_t pc_mask,
@@ -164,7 +212,8 @@ class SuperblockCache {
 
   std::vector<TierOp> arena;
   std::vector<TierBlock> blocks;
-  std::vector<std::uint64_t> map;
+  LazyTable<std::uint64_t> map;
+  TierKey key;
   std::uint64_t epoch = 1;
   std::uint64_t generation = ~std::uint64_t{0};
   std::uint64_t handler_generation = ~std::uint64_t{0};

@@ -78,6 +78,20 @@ std::optional<unsigned> parse_detector_set(std::string_view text) {
 Engine::Engine(const EngineConfig& config) : config_(config) {
   shadow_.reserve(64);
   frames_.reserve(64);
+  // The hooks each armed detector reads; every other hook is a no-op.
+  const unsigned d = config_.detectors;
+  unsigned events = 0;
+  if (d & (kDetectShadowStack | kDetectCanary)) {
+    events |= avr::kTraceCall | avr::kTraceIrq;
+  }
+  if (d & (kDetectShadowStack | kDetectReturnCfi | kDetectPolicy)) {
+    events |= avr::kTraceRet;
+  }
+  if (d & (kDetectSpBounds | kDetectCanary)) events |= avr::kTraceSpChange;
+  if (d & kDetectCanary) events |= avr::kTraceFault;
+  // Stores are beyond the tier: an armed policy runs on the interpreter.
+  if (d & kDetectPolicy) events |= avr::kTraceStore;
+  interest_.events = events;
   reset_dynamic();
 }
 
@@ -121,6 +135,21 @@ void Engine::reset_dynamic() {
   freed_.fill(FrameRecord{});
   freed_next_ = 0;
   tripped_ = false;
+  publish_window();
+}
+
+void Engine::publish_window() {
+  // on_sp_change acts only when SP leaves [stack_lo, stack_hi] (SP bounds)
+  // or reaches the innermost frame's retirement threshold (canary), so
+  // any move that stays inside the window below is a no-op here.
+  const bool bounds = (config_.detectors & kDetectSpBounds) != 0;
+  interest_.sp_lo = bounds ? stack_lo_ : 0;
+  interest_.sp_hi = bounds ? stack_hi_ : 0xFFFF;
+  if ((config_.detectors & kDetectCanary) && !frames_.empty()) {
+    const unsigned threshold = frames_.back().slot + push_bytes_ - 1u;
+    interest_.sp_hi = static_cast<std::uint16_t>(
+        std::min<unsigned>(interest_.sp_hi, threshold - 1));
+  }
 }
 
 void Engine::record(Detector detector, const avr::Cpu& cpu,
@@ -150,6 +179,7 @@ void Engine::remember_frame(const avr::Cpu& cpu) {
         cpu.data().raw(static_cast<std::uint32_t>(frame.slot) + i);
   }
   frames_.push_back(frame);
+  publish_window();
 }
 
 bool Engine::cfi_valid(std::uint32_t raw_words) const {
@@ -234,6 +264,7 @@ void Engine::on_sp_change(const avr::Cpu& cpu, std::uint16_t old_sp,
       freed_next_ = (freed_next_ + 1) % kFreedRing;
       frames_.pop_back();
     }
+    publish_window();
   }
 }
 

@@ -5,7 +5,7 @@
 // stack-corruption checks that catch a traditional ROP chain, leaving
 // randomization as the only defense. This module builds exactly the
 // detection layer that argument is about — four composable detectors fed
-// from the avr::Tracer hooks in Cpu::step — so the claim can be measured
+// from the avr::Tracer hooks of Cpu::run — so the claim can be measured
 // instead of asserted:
 //
 //  * shadow stack    — mirrors every CALL/IRQ push and flags a RET whose
@@ -34,7 +34,10 @@
 //    paper describes, and checking it would contradict the detector this
 //    models ("what the paper says catches V1 but not V2").
 //
-// The engine is an avr::Tracer: arm() claims the Cpu's tracer slot.
+// The engine is an avr::Tracer: arm() claims the Cpu's tracer slot. It
+// declares only the hooks its armed detectors read, and an SP window
+// outside of which SP moves matter (DESIGN.md §10), so flights stay on
+// the superblock tier unless the store-watching policy is armed.
 // Verdicts latch (tripped()) until reset_dynamic(); the master processor
 // polls tripped() in its watchdog service and answers a trip with the same
 // reflash ladder it uses for crash/quiet detection (defense/master.cpp).
@@ -173,6 +176,9 @@ class Engine : public avr::Tracer {
               std::uint32_t value, const char* reason);
   void remember_frame(const avr::Cpu& cpu);
   bool cfi_valid(std::uint32_t raw_words) const;
+  /// Republishes the SP window: [stack_lo, stack_hi] for SP bounds, capped
+  /// below the retirement threshold of the innermost live canary frame.
+  void publish_window();
 
   EngineConfig config_;
   avr::Cpu* cpu_ = nullptr;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "avr/cpu.hpp"
@@ -104,14 +103,6 @@ class Board {
     return cpu_.state() == avr::CpuState::Faulted;
   }
 
-  /// Per-instruction observation hook (used by the attacker's replica run
-  /// to locate the vulnerable frame). Pass nullptr to remove. Implemented
-  /// as an avr::Tracer retire hook, so it observes the Cpu with pc() at the
-  /// next instruction to execute — the same point the old pre-step loop
-  /// exposed. Installing a hook claims the Cpu's tracer slot; for composite
-  /// sinks attach a trace::Session to cpu() directly instead.
-  void set_trace_hook(std::function<void(const avr::Cpu&)> hook);
-
   // --- Peripherals ----------------------------------------------------------------
   avr::Cpu& cpu() { return cpu_; }
   const avr::Cpu& cpu() const { return cpu_; }
@@ -125,20 +116,6 @@ class Board {
   avr::Timer& tick_timer() { return *timer_; }
 
  private:
-  /// Adapts the legacy std::function hook onto the Tracer interface.
-  class HookTracer : public avr::Tracer {
-   public:
-    explicit HookTracer(std::function<void(const avr::Cpu&)> hook)
-        : hook_(std::move(hook)) {}
-    void on_retire(const avr::Cpu& cpu, std::uint32_t, const avr::Instr&,
-                   std::uint32_t) override {
-      hook_(cpu);
-    }
-
-   private:
-    std::function<void(const avr::Cpu&)> hook_;
-  };
-
   avr::Cpu cpu_;
   std::unique_ptr<avr::Uart> uart_;
   std::unique_ptr<Sensor16> gyro_[3];
@@ -147,7 +124,6 @@ class Board {
   std::unique_ptr<avr::OutputPort> feed_;
   std::unique_ptr<avr::OutputPort> led_;
   std::unique_ptr<avr::Timer> timer_;
-  std::unique_ptr<HookTracer> hook_tracer_;
   support::FaultPlane* faults_ = nullptr;
   bool readout_protected_ = false;
   bool in_bootloader_ = false;

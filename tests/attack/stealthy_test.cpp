@@ -6,6 +6,7 @@
 #include "attack/attacks.hpp"
 #include "firmware/generator.hpp"
 #include "firmware/profile.hpp"
+#include "mavlink/mavlink.hpp"
 #include "sim/board.hpp"
 #include "sim/ground.hpp"
 
@@ -183,6 +184,72 @@ TEST_F(StealthyAttackTest, V3StagesAndExecutesLargePayload) {
   const std::uint64_t feeds = board_.feed_line().write_count();
   board_.run_cycles(1'000'000);
   EXPECT_GT(board_.feed_line().write_count(), feeds);
+}
+
+/// The probe as it ran before breakpoints: a per-instruction retire hook
+/// on the fully traced interpreter, capturing the first arrival at the
+/// handler entry and flying the whole 3M-cycle budget.
+attack::VictimFrame traced_full_budget_probe(const toolchain::Image& image,
+                                             std::uint32_t handler_byte_addr,
+                                             std::uint16_t frame_bytes) {
+  struct RetireProbe : avr::Tracer {
+    RetireProbe(std::uint32_t entry, attack::VictimFrame& frame)
+        : entry(entry), frame(frame) {}
+    void on_retire(const avr::Cpu& cpu, std::uint32_t, const avr::Instr&,
+                   std::uint32_t) override {
+      if (captured || cpu.pc() != entry) return;
+      captured = true;
+      frame.p = cpu.sp();
+      for (unsigned r = 0; r < 32; ++r) frame.regs_at_entry[r] = cpu.reg(r);
+      for (unsigned i = 0; i < 3; ++i) {
+        frame.ret_bytes[i] = cpu.data().raw(frame.p + 1 + i);
+      }
+    }
+    std::uint32_t entry;
+    attack::VictimFrame& frame;
+    bool captured = false;
+  };
+  sim::Board replica;
+  replica.flash_image(image.bytes);
+  replica.run_cycles(300'000);
+  sim::GroundStation gcs(replica);
+  gcs.send_param_set(mavlink::ParamSet{});
+  attack::VictimFrame frame;
+  frame.frame_bytes = frame_bytes;
+  RetireProbe probe(handler_byte_addr / 2, frame);
+  replica.cpu().set_tracer(&probe);
+  replica.run_cycles(3'000'000);
+  replica.cpu().set_tracer(nullptr);
+  EXPECT_TRUE(probe.captured);
+  frame.buffer_addr = static_cast<std::uint16_t>(frame.p - frame_bytes - 1);
+  frame.ram_end = static_cast<std::uint16_t>(replica.cpu().spec().ramend());
+  return frame;
+}
+
+TEST(ProbeVictim, BreakpointProbeMatchesFullBudgetTracedProbe) {
+  // probe_victim stops on the tier at its entry breakpoint; the frame it
+  // captures must be the one the per-instruction traced probe recorded.
+  for (const firmware::AppProfile& profile :
+       {firmware::testapp(/*vulnerable=*/true),
+        firmware::arduplane(/*vulnerable=*/true)}) {
+    SCOPED_TRACE(profile.name);
+    const firmware::Firmware fw =
+        firmware::generate(profile, toolchain::ToolchainOptions::mavr());
+    const toolchain::Symbol* handler = fw.image.find("h_param_set");
+    ASSERT_NE(handler, nullptr);
+    const std::uint16_t frame_bytes =
+        attack::parse_frame_bytes(fw.image, handler->addr);
+    const attack::VictimFrame got =
+        attack::probe_victim(fw.image, handler->addr, frame_bytes);
+    const attack::VictimFrame want =
+        traced_full_budget_probe(fw.image, handler->addr, frame_bytes);
+    EXPECT_EQ(got.p, want.p);
+    EXPECT_EQ(got.frame_bytes, want.frame_bytes);
+    EXPECT_EQ(got.buffer_addr, want.buffer_addr);
+    EXPECT_EQ(got.ram_end, want.ram_end);
+    EXPECT_EQ(got.regs_at_entry, want.regs_at_entry);
+    EXPECT_EQ(got.ret_bytes, want.ret_bytes);
+  }
 }
 
 }  // namespace

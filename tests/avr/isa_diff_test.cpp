@@ -3,7 +3,10 @@
 // superblock tier, and the traced interpreter under a null tracer — and
 // must agree on the full data space, PC, cycle and retire counts,
 // interrupts taken, CpuState and every device side effect after each run
-// chunk.
+// chunk. Two more boards carry a recording tracer with a narrow, moving SP
+// window and a breakpoint inside an inlined callee: the fully traced
+// interpreter and the event-emitting tier must log the same hooks, seen
+// with the same core state, and stop at the same breakpoint hits.
 //
 // The generator keeps control flow inside the image and deliberately
 // reaches the corners the generated firmware never does: every decoded
@@ -94,16 +97,91 @@ struct TestDevices {
   std::uint8_t latch = 0x5A;
 };
 
+/// One hook as a tracer saw it: the kind, its arguments, and the core
+/// state read inside the hook.
+struct HookEvent {
+  char kind;
+  std::uint32_t a, b, c, d;
+  std::uint32_t pc;
+  std::uint64_t cycles, retired;
+  std::uint16_t sp;
+  std::uint8_t sreg;
+  bool operator==(const HookEvent&) const = default;
+};
+
+/// Records the hooks its interest names. SP moves count only when the old
+/// or new SP lies outside a narrow window, which re-centres on each
+/// recorded move — the window moves inside hooks, as the detection
+/// engine's does. Every fifth breakpoint hit ends the run.
+class Recorder : public avr::Tracer {
+ public:
+  Recorder() {
+    interest_.events = avr::kTierTraceEvents;
+    interest_.sp_lo = 0x21F0;
+    interest_.sp_hi = 0x21FC;
+  }
+  void set_breakpoint(std::uint32_t pc_words) {
+    interest_.breakpoints = {};
+    interest_.breakpoints.add(pc_words);
+  }
+
+  void on_call(const avr::Cpu& cpu, std::uint32_t from, std::uint32_t to,
+               std::uint32_t ret) override {
+    log(cpu, 'C', from, to, ret, 0);
+  }
+  void on_ret(const avr::Cpu& cpu, std::uint32_t from, std::uint32_t to,
+              std::uint32_t raw, bool reti) override {
+    log(cpu, 'R', from, to, raw, reti);
+  }
+  void on_irq(const avr::Cpu& cpu, std::uint8_t slot,
+              std::uint32_t from) override {
+    log(cpu, 'I', slot, from, 0, 0);
+  }
+  void on_sp_change(const avr::Cpu& cpu, std::uint16_t old_sp,
+                    std::uint16_t new_sp) override {
+    if (!interest_.sp_outside(old_sp) && !interest_.sp_outside(new_sp)) {
+      return;  // the promised no-op
+    }
+    log(cpu, 'S', old_sp, new_sp, 0, 0);
+    ++sp_moves;
+    interest_.sp_lo = static_cast<std::uint16_t>(new_sp - 5);
+    interest_.sp_hi = static_cast<std::uint16_t>(new_sp + 3);
+  }
+  void on_fault(const avr::Cpu& cpu, const avr::FaultInfo& info) override {
+    log(cpu, 'F', info.pc_words, info.opcode, 0, 0);
+  }
+  bool on_breakpoint(const avr::Cpu& cpu, std::uint32_t pc) override {
+    log(cpu, 'B', pc, 0, 0, 0);
+    ++breakpoint_hits;
+    return breakpoint_hits % 5 == 0;
+  }
+
+  std::vector<HookEvent> events;
+  std::uint64_t sp_moves = 0;
+  std::uint64_t breakpoint_hits = 0;
+
+ private:
+  void log(const avr::Cpu& cpu, char kind, std::uint32_t a, std::uint32_t b,
+           std::uint32_t c, std::uint32_t d) {
+    events.push_back({kind, a, b, c, d, cpu.pc(), cpu.cycles(),
+                      cpu.instructions_retired(), cpu.sp(), cpu.sreg()});
+  }
+};
+
 /// One execution mode on its own board.
 struct Rig {
-  enum Mode { kInterp, kTier, kTraced };
+  enum Mode { kInterp, kTier, kTraced, kRecordTraced, kRecordTier };
   explicit Rig(Mode mode) : devices(board.cpu().io()) {
-    board.cpu().set_exec_tier(mode == kTier);
+    board.cpu().set_exec_tier(mode == kTier || mode == kRecordTier);
     if (mode == kTraced) board.cpu().set_tracer(&null_tracer);
+    if (mode == kRecordTraced || mode == kRecordTier) {
+      board.cpu().set_tracer(&recorder);
+    }
   }
   sim::Board board;
   TestDevices devices;
   avr::Tracer null_tracer;
+  Recorder recorder;
 };
 
 struct Snapshot {
@@ -227,6 +305,13 @@ class Generator {
     }
     const std::size_t slot = alu_slots_[rng_.below(alu_slots_.size())];
     return {static_cast<std::uint32_t>(slot), random_alu_word()};
+  }
+
+  /// Word address of the second instruction of subroutine `s`: inside the
+  /// callee body the tier inlines at every static call.
+  std::uint32_t inside_sub(unsigned s) const {
+    const std::uint32_t at = kSubs + kSubStride * s;
+    return at + avr::decode(lo_[at], lo_[at + 1]).size_words;
   }
 
   const std::bitset<kOpCount>& ops_seen() const { return ops_seen_; }
@@ -658,13 +743,21 @@ class Generator {
     }
   }
 
-  /// Counted loop; a one-op body makes its block a self-loop.
+  /// Counted loop; a one-op body makes its block a self-loop. A PUSH or
+  /// POP in the body drifts SP on every pass, so a self-loop must keep
+  /// rechecking a tracer's SP window.
   void loop() {
     const std::uint8_t counter = static_cast<std::uint8_t>(16 + rng_.below(4));
     ldi(counter, static_cast<std::uint8_t>(1 + rng_.below(20)));
     const std::size_t head = at_;
     const unsigned body = static_cast<unsigned>(rng_.below(3));
-    for (unsigned i = 0; i < body; ++i) alu();
+    for (unsigned i = 0; i < body; ++i) {
+      if (chance(4)) {
+        emit(chance(2) ? tc::enc_push(any_reg()) : tc::enc_pop(any_reg()));
+      } else {
+        alu();
+      }
+    }
     emit(tc::enc_one_reg(Op::Dec, counter));
     emit(tc::enc_branch(Op::Brbc, avr::kZ,
                         static_cast<int>(head) - static_cast<int>(at_) - 1));
@@ -823,10 +916,33 @@ class Generator {
 
 constexpr int kPrograms = 2500;
 
+std::string first_difference(const std::vector<HookEvent>& a,
+                             const std::vector<HookEvent>& b) {
+  const auto show = [](const std::vector<HookEvent>& log, std::size_t i) {
+    if (i >= log.size()) return std::string("(none)");
+    const HookEvent& e = log[i];
+    return std::string(1, e.kind) + "(" + std::to_string(e.a) + "," +
+           std::to_string(e.b) + "," + std::to_string(e.c) + "," +
+           std::to_string(e.d) + ") pc " + std::to_string(e.pc) +
+           " cycles " + std::to_string(e.cycles) + " retired " +
+           std::to_string(e.retired) + " sp " + std::to_string(e.sp) +
+           " sreg " + std::to_string(e.sreg);
+  };
+  std::size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+  return "event " + std::to_string(i) + " of " + std::to_string(a.size()) +
+         "/" + std::to_string(b.size()) + ": " + show(a, i) + " vs " +
+         show(b, i);
+}
+
 TEST(IsaDiff, RandomStreamsAgreeAcrossInterpreterTierAndTraced) {
-  std::array<std::unique_ptr<Rig>, 3> rigs = {
+  std::array<std::unique_ptr<Rig>, 5> rigs = {
       std::make_unique<Rig>(Rig::kInterp), std::make_unique<Rig>(Rig::kTier),
-      std::make_unique<Rig>(Rig::kTraced)};
+      std::make_unique<Rig>(Rig::kTraced),
+      std::make_unique<Rig>(Rig::kRecordTraced),
+      std::make_unique<Rig>(Rig::kRecordTier)};
+  Recorder& traced_log = rigs[3]->recorder;
+  Recorder& tier_log = rigs[4]->recorder;
   support::Rng master(0x15AD1FF);
   std::bitset<kOpCount> ops;
   std::bitset<kIdiomCount> idioms;
@@ -847,8 +963,11 @@ TEST(IsaDiff, RandomStreamsAgreeAcrossInterpreterTierAndTraced) {
     const auto [edit_at, edit_word] = gen.reflash_edit();
     const support::Bytes edit = {static_cast<std::uint8_t>(edit_word & 0xFF),
                                  static_cast<std::uint8_t>(edit_word >> 8)};
+    const std::uint32_t breakpoint = gen.inside_sub(p % kSubCount);
+    traced_log.set_breakpoint(breakpoint);
+    tier_log.set_breakpoint(breakpoint);
 
-    std::array<Snapshot, 3> snaps;
+    std::array<Snapshot, 5> snaps;
     for (int c = 0; c < 3; ++c) {
       for (std::size_t m = 0; m < rigs.size(); ++m) {
         sim::Board& board = rigs[m]->board;
@@ -867,6 +986,14 @@ TEST(IsaDiff, RandomStreamsAgreeAcrossInterpreterTierAndTraced) {
       ASSERT_TRUE(snaps[2] == snaps[0])
           << "traced diverged: program " << p << " chunk " << c << ": "
           << first_difference(snaps[2], snaps[0]);
+      ASSERT_TRUE(tier_log.events == traced_log.events)
+          << "hook log diverged: program " << p << " chunk " << c << ": "
+          << first_difference(tier_log.events, traced_log.events);
+      ASSERT_TRUE(snaps[4] == snaps[3])
+          << "event tier diverged: program " << p << " chunk " << c << ": "
+          << first_difference(snaps[4], snaps[3]);
+      tier_log.events.clear();
+      traced_log.events.clear();
     }
     irqs = snaps[0].irqs;
     instructions = snaps[0].retired;
@@ -887,6 +1014,12 @@ TEST(IsaDiff, RandomStreamsAgreeAcrossInterpreterTierAndTraced) {
   EXPECT_GT(t.invalidations, 0u);
   EXPECT_GT(t.block_instructions, instructions / 4);
   EXPECT_GT(irqs, 0u);
+  // The recording pair hit breakpoints (some ending a run), saw SP leave
+  // its window, and the event tier really ran blocks.
+  EXPECT_GE(tier_log.breakpoint_hits, 5u);
+  EXPECT_GT(tier_log.sp_moves, 0u);
+  EXPECT_GT(rigs[4]->board.cpu().tier_stats().block_instructions,
+            rigs[4]->board.cpu().instructions_retired() / 4);
 }
 
 // --- Reference model for the chained 16-bit idioms ------------------------

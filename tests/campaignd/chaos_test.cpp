@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -22,9 +23,11 @@
 #include "campaign/scenarios.hpp"
 #include "campaignd/client.hpp"
 #include "campaignd/coordinator.hpp"
+#include "campaignd/protocol.hpp"
 #include "campaignd/worker.hpp"
 #include "support/netfault.hpp"
 #include "support/rng.hpp"
+#include "support/socket.hpp"
 
 namespace {
 
@@ -98,6 +101,51 @@ class ChaosPool {
   std::vector<std::thread> threads_;
 };
 
+/// A scripted deserter: takes one assignment and closes its connection
+/// without a result, then waits until the coordinator has put the held
+/// chunk back in its queue. Run before any other worker connects, this
+/// makes a reclaim certain rather than a matter of timing; wire faults
+/// only cost it retries (a lost assignment is reclaimed all the same when
+/// the connection closes, or after the coordinator's silence timeout).
+void desert_one_assignment(const std::string& endpoint,
+                           campaignd::Coordinator& coordinator) {
+  const auto ep = support::parse_endpoint(endpoint);
+  ASSERT_TRUE(ep.has_value());
+  bool assigned = false;
+  for (int attempt = 0; attempt < 200 && !assigned; ++attempt) {
+    support::Socket sock = support::connect_endpoint(*ep, 50, 5);
+    if (!sock.valid()) continue;
+    if (campaignd::client_handshake(sock, "", 400) !=
+        campaignd::HandshakeResult::kOk) {
+      continue;
+    }
+    for (int request = 0; request < 50 && !assigned; ++request) {
+      if (!campaignd::send_message(sock, campaignd::MsgType::kWorkRequest,
+                                   {})) {
+        break;
+      }
+      campaignd::Message msg;
+      if (campaignd::recv_message(sock, &msg, 400) !=
+          support::IoStatus::kOk) {
+        break;
+      }
+      if (msg.type == campaignd::MsgType::kAssign) {
+        assigned = true;
+      } else if (msg.type == campaignd::MsgType::kWait) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      } else {
+        break;
+      }
+    }
+  }  // the socket closes here, holding the assignment
+  ASSERT_TRUE(assigned);
+  for (int i = 0; i < 3'000 && coordinator.counters().chunks_reclaimed == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(coordinator.counters().chunks_reclaimed, 0u);
+}
+
 /// One full campaign with fault pressure `rate` on BOTH ends of every
 /// connection. Returns the coordinator-side injected-fault total.
 std::uint64_t run_chaos_campaign(double rate, int workers,
@@ -167,10 +215,11 @@ TEST(ChaosTest, FaultRateSweepStaysBitIdentical) {
 }
 
 TEST(ChaosTest, CompoundFailureStillConverges) {
-  // Everything at once: a faulty wire on every connection, workers that
-  // keep dying mid-assignment and being replaced (the supervisor's
-  // restart behavior, modelled by respawning short-lived workers), a
-  // wedged straggler, and speculation cleaning up after it.
+  // Everything at once: a faulty wire on every connection, a worker that
+  // deserts holding a chunk, workers that keep dying mid-assignment and
+  // being replaced (the supervisor's restart behavior, modelled by
+  // respawning short-lived workers), a wedged straggler, and speculation
+  // cleaning up after it.
   const campaign::CampaignConfig config = model_config(/*trials=*/640);
   const campaign::CampaignStats in_process = campaign::run_campaign(config);
 
@@ -185,6 +234,17 @@ TEST(ChaosTest, CompoundFailureStillConverges) {
   campaignd::Coordinator coordinator(cc);
   coordinator.start();
   const std::string endpoint = coordinator.endpoint();
+
+  // The coordinator's fault plane arms *accepted* connections, so the
+  // client shares the chaos and needs its retry budget.
+  campaignd::ClientOptions client;
+  client.max_retries = 40;
+  client.retry_backoff_ms = 5;
+  client.retry_backoff_max_ms = 200;
+  client.reply_timeout_ms = 400;
+  const auto submit = campaignd::submit_campaign(endpoint, config, client);
+  ASSERT_TRUE(submit.ok) << submit.error;
+  desert_one_assignment(endpoint, coordinator);
 
   // A crash-looping worker: dies after every 2 chunks, is "respawned".
   // The stop flag also covers the post-campaign idle case — once no work
@@ -216,15 +276,6 @@ TEST(ChaosTest, CompoundFailureStillConverges) {
     campaignd::run_worker(endpoint, options);
   });
 
-  // The coordinator's fault plane arms *accepted* connections, so the
-  // client shares the chaos and needs its retry budget.
-  campaignd::ClientOptions client;
-  client.max_retries = 40;
-  client.retry_backoff_ms = 5;
-  client.retry_backoff_max_ms = 200;
-  client.reply_timeout_ms = 400;
-  const auto submit = campaignd::submit_campaign(endpoint, config, client);
-  ASSERT_TRUE(submit.ok) << submit.error;
   const auto done = campaignd::wait_campaign(
       endpoint, submit.campaign_id, client, /*interval_ms=*/10,
       /*timeout_ms=*/240'000);
@@ -237,8 +288,8 @@ TEST(ChaosTest, CompoundFailureStillConverges) {
   ASSERT_TRUE(done.ok) << done.error;
   EXPECT_TRUE(bitwise_equal(done.status.stats, in_process));
   // The storm actually happened: faults hit the wire and chunks came
-  // back more than once (crashers redo reclaimed chunks; duplicates are
-  // detected, not double-merged).
+  // back more than once (the deserter's chunk was reclaimed, crashers redo
+  // reclaimed chunks; duplicates are detected, not double-merged).
   EXPECT_GT(coordinator.net_fault_stats().total(), 0u);
   const auto counters = coordinator.counters();
   EXPECT_GT(counters.chunks_reclaimed + counters.duplicate_results +

@@ -1,6 +1,8 @@
 // detect::Engine unit behaviour: each detector exercised in isolation on
-// hand-assembled programs, plus the parse/format helpers and the
-// master-processor wiring (trip → recovery reflash → latch cleared).
+// hand-assembled programs — stepped on the traced interpreter, and run on
+// the superblock tier, which delivers the engine's hooks from its blocks —
+// plus the parse/format helpers and the master-processor wiring (trip →
+// recovery reflash → latch cleared).
 #include <gtest/gtest.h>
 
 #include "defense/external_flash.hpp"
@@ -54,10 +56,28 @@ class EngineTest : public ::testing::Test {
     }
   }
 
+  /// Runs `body` twice: with the tier off, step() interprets `n`
+  /// instructions; with it on, step() is one run() that the tiny programs
+  /// here all end (BREAK or a fault) within its budget.
+  template <class Body>
+  void in_both_modes(Body body) {
+    for (const bool tier : {false, true}) {
+      SCOPED_TRACE(tier ? "tier" : "interpreter");
+      tier_ = tier;
+      cpu_.set_exec_tier(tier);
+      body();
+    }
+  }
+
   void step(int n = 1) {
+    if (tier_) {
+      cpu_.run(10'000);
+      return;
+    }
     for (int i = 0; i < n; ++i) cpu_.step();
   }
 
+  bool tier_ = false;
   Cpu cpu_;
   support::Bytes program_;
   std::unique_ptr<Engine> engine_;
@@ -92,175 +112,217 @@ TEST(DetectorSet, ParseAcceptsAliasesAndRejectsJunk) {
 // --- Shadow stack ------------------------------------------------------------
 
 TEST_F(EngineTest, ShadowStackSilentOnMatchedCallRet) {
-  // call 3 ; break ; ret — the ret pops exactly what the call pushed.
-  load({enc_abs_jump(Op::Call, 3).first, enc_abs_jump(Op::Call, 3).second,
-        enc_no_operand(Op::Break), enc_no_operand(Op::Ret)});
-  arm(detect::kDetectShadowStack);
-  step(3);
-  EXPECT_EQ(cpu_.state(), CpuState::Stopped);
-  EXPECT_FALSE(engine_->tripped());
-  EXPECT_EQ(engine_->total_trips(), 0u);
+  in_both_modes([&] {
+    // call 3 ; break ; ret — the ret pops exactly what the call pushed.
+    load({enc_abs_jump(Op::Call, 3).first, enc_abs_jump(Op::Call, 3).second,
+          enc_no_operand(Op::Break), enc_no_operand(Op::Ret)});
+    arm(detect::kDetectShadowStack);
+    step(3);
+    EXPECT_EQ(cpu_.state(), CpuState::Stopped);
+    EXPECT_FALSE(engine_->tripped());
+    EXPECT_EQ(engine_->total_trips(), 0u);
+    // The call and its predicted ret ran inside one superblock.
+    if (tier_) {
+      EXPECT_GT(cpu_.tier_stats().block_instructions, 0u);
+    }
+  });
 }
 
 TEST_F(EngineTest, ShadowStackFlagsOverwrittenReturnSlot) {
-  // The callee rewrites the low byte of its own return slot (0x21FF after
-  // the reset-time call) before returning — the minimal stack smash.
-  load({enc_imm(Op::Ldi, 24, 0x42),                // w0
-        enc_abs_jump(Op::Call, 5).first,           // w1
-        enc_abs_jump(Op::Call, 5).second,          // w2
-        enc_no_operand(Op::Break),                 // w3 (legit return: pc=3)
-        0x0000,                                    // w4
-        enc_sts(0x21FF, 24).first,                 // w5
-        enc_sts(0x21FF, 24).second,                // w6
-        enc_no_operand(Op::Ret)});                 // w7
-  arm(detect::kDetectShadowStack);
-  step(4);  // ldi, call, sts, ret
-  ASSERT_TRUE(engine_->tripped());
-  ASSERT_FALSE(engine_->verdicts().empty());
-  const detect::Verdict& v = engine_->verdicts().front();
-  EXPECT_EQ(v.detector, Detector::kShadowStack);
-  EXPECT_EQ(v.value, 0x42u);  // the popped (attacker) target
-  EXPECT_EQ(engine_->total_trips(), 1u);
+  in_both_modes([&] {
+    // The callee rewrites the low byte of its own return slot (0x21FF after
+    // the reset-time call) before returning — the minimal stack smash.
+    load({enc_imm(Op::Ldi, 24, 0x42),                // w0
+          enc_abs_jump(Op::Call, 5).first,           // w1
+          enc_abs_jump(Op::Call, 5).second,          // w2
+          enc_no_operand(Op::Break),                 // w3 (legit return: pc=3)
+          0x0000,                                    // w4
+          enc_sts(0x21FF, 24).first,                 // w5
+          enc_sts(0x21FF, 24).second,                // w6
+          enc_no_operand(Op::Ret)});                 // w7
+    arm(detect::kDetectShadowStack);
+    step(4);  // ldi, call, sts, ret
+    ASSERT_TRUE(engine_->tripped());
+    ASSERT_FALSE(engine_->verdicts().empty());
+    const detect::Verdict& v = engine_->verdicts().front();
+    EXPECT_EQ(v.detector, Detector::kShadowStack);
+    EXPECT_EQ(v.value, 0x42u);  // the popped (attacker) target
+    EXPECT_EQ(engine_->total_trips(), 1u);
+  });
 }
 
 TEST_F(EngineTest, RetOnEmptyShadowIgnored) {
-  // A ret with no mirrored call (engine attached mid-run / entry frame):
-  // stage a fake return address by hand, then execute a bare ret.
-  load({enc_no_operand(Op::Ret), enc_no_operand(Op::Break)});
-  arm(detect::kDetectShadowStack);
-  cpu_.set_sp(0x21FC);
-  cpu_.data().set_raw(0x21FD, 0);
-  cpu_.data().set_raw(0x21FE, 0);
-  cpu_.data().set_raw(0x21FF, 1);  // ret → word 1
-  step(2);
-  EXPECT_EQ(cpu_.state(), CpuState::Stopped);
-  EXPECT_FALSE(engine_->tripped());
+  in_both_modes([&] {
+    // A ret with no mirrored call (engine attached mid-run / entry frame):
+    // stage a fake return address by hand, then execute a bare ret.
+    load({enc_no_operand(Op::Ret), enc_no_operand(Op::Break)});
+    arm(detect::kDetectShadowStack);
+    cpu_.set_sp(0x21FC);
+    cpu_.data().set_raw(0x21FD, 0);
+    cpu_.data().set_raw(0x21FE, 0);
+    cpu_.data().set_raw(0x21FF, 1);  // ret → word 1
+    step(2);
+    EXPECT_EQ(cpu_.state(), CpuState::Stopped);
+    EXPECT_FALSE(engine_->tripped());
+  });
 }
 
 // --- SP bounds ---------------------------------------------------------------
 
 TEST_F(EngineTest, SpBoundsSilentInsideLegalRegion) {
-  // Move SP around within [RAMEND-511, RAMEND].
-  load({enc_imm(Op::Ldi, 29, 0x20), enc_imm(Op::Ldi, 28, 0x00),
-        enc_out(avr::kIoSph, 29), enc_out(avr::kIoSpl, 28),
-        enc_no_operand(Op::Break)});
-  arm(detect::kDetectSpBounds);
-  EXPECT_EQ(engine_->stack_lo(), 0x2000);
-  EXPECT_EQ(engine_->stack_hi(), 0x21FF);
-  step(5);
-  EXPECT_FALSE(engine_->tripped());
+  in_both_modes([&] {
+    // Move SP around within [RAMEND-511, RAMEND].
+    load({enc_imm(Op::Ldi, 29, 0x20), enc_imm(Op::Ldi, 28, 0x00),
+          enc_out(avr::kIoSph, 29), enc_out(avr::kIoSpl, 28),
+          enc_no_operand(Op::Break)});
+    arm(detect::kDetectSpBounds);
+    EXPECT_EQ(engine_->stack_lo(), 0x2000);
+    EXPECT_EQ(engine_->stack_hi(), 0x21FF);
+    step(5);
+    EXPECT_FALSE(engine_->tripped());
+  });
 }
 
 TEST_F(EngineTest, SpBoundsFlagsPivotBelowStackFloor) {
-  // The V3-style pivot: SPH ← 0x1A puts SP below the legal floor on the
-  // very first half of the pivot write.
-  load({enc_imm(Op::Ldi, 29, 0x1A), enc_out(avr::kIoSph, 29),
-        enc_no_operand(Op::Break)});
-  arm(detect::kDetectSpBounds);
-  step(2);
-  ASSERT_TRUE(engine_->tripped());
-  const detect::Verdict& v = engine_->verdicts().front();
-  EXPECT_EQ(v.detector, Detector::kSpBounds);
-  EXPECT_EQ(v.value, 0x1AFFu);  // new SP: 0x1A:FF (low byte still reset-time)
-  // Edge-triggered: staying outside fires no further verdicts.
-  EXPECT_EQ(engine_->total_trips(), 1u);
+  in_both_modes([&] {
+    // The V3-style pivot: SPH ← 0x1A puts SP below the legal floor on the
+    // very first half of the pivot write.
+    load({enc_imm(Op::Ldi, 29, 0x1A), enc_out(avr::kIoSph, 29),
+          enc_no_operand(Op::Break)});
+    arm(detect::kDetectSpBounds);
+    step(2);
+    ASSERT_TRUE(engine_->tripped());
+    const detect::Verdict& v = engine_->verdicts().front();
+    EXPECT_EQ(v.detector, Detector::kSpBounds);
+    EXPECT_EQ(v.value, 0x1AFFu);  // new SP: 0x1A:FF (low byte still reset-time)
+    // Edge-triggered: staying outside fires no further verdicts.
+    EXPECT_EQ(engine_->total_trips(), 1u);
+  });
 }
 
 // --- Canary / stack-slot integrity -------------------------------------------
 
 TEST_F(EngineTest, CanaryFlagsSmashedSlotAtFault) {
-  // V1 in miniature: the callee smashes its return slot, then the core
-  // faults (invalid opcode) while the frame is still live.
-  load({enc_abs_jump(Op::Call, 3).first, enc_abs_jump(Op::Call, 3).second,
-        enc_no_operand(Op::Break),
-        enc_imm(Op::Ldi, 24, 0x99),                // w3
-        enc_sts(0x21FF, 24).first,                 // w4
-        enc_sts(0x21FF, 24).second,                // w5
-        0x0001});                                  // w6: reserved opcode
-  arm(detect::kDetectCanary);
-  step(4);
-  EXPECT_EQ(cpu_.state(), CpuState::Faulted);
-  ASSERT_TRUE(engine_->tripped());
-  const detect::Verdict& v = engine_->verdicts().front();
-  EXPECT_EQ(v.detector, Detector::kCanary);
-  EXPECT_EQ(v.value, 0x21FDu);  // the 3-byte slot's lowest address
+  in_both_modes([&] {
+    // V1 in miniature: the callee smashes its return slot, then the core
+    // faults (invalid opcode) while the frame is still live.
+    load({enc_abs_jump(Op::Call, 3).first, enc_abs_jump(Op::Call, 3).second,
+          enc_no_operand(Op::Break),
+          enc_imm(Op::Ldi, 24, 0x99),                // w3
+          enc_sts(0x21FF, 24).first,                 // w4
+          enc_sts(0x21FF, 24).second,                // w5
+          0x0001});                                  // w6: reserved opcode
+    arm(detect::kDetectCanary);
+    step(4);
+    EXPECT_EQ(cpu_.state(), CpuState::Faulted);
+    ASSERT_TRUE(engine_->tripped());
+    const detect::Verdict& v = engine_->verdicts().front();
+    EXPECT_EQ(v.detector, Detector::kCanary);
+    EXPECT_EQ(v.value, 0x21FDu);  // the 3-byte slot's lowest address
+  });
 }
 
 TEST_F(EngineTest, CanarySilentWithoutFault) {
-  // V2's defining property: the smashed slot is popped by a clean return
-  // and the core keeps running — frame-free time must NOT be verified, so
-  // the canary detector stays silent (the shadow stack is what catches
-  // this; see the campaign hierarchy tests).
-  load({enc_abs_jump(Op::Call, 4).first, enc_abs_jump(Op::Call, 4).second,
-        enc_no_operand(Op::Break),                 // w2 (legit return)
-        enc_no_operand(Op::Break),                 // w3 (attacker landing)
-        enc_imm(Op::Ldi, 24, 0x03),                // w4: redirect lo byte → 3
-        enc_sts(0x21FF, 24).first,                 // w5
-        enc_sts(0x21FF, 24).second,                // w6
-        enc_no_operand(Op::Ret)});                 // w7
-  arm(detect::kDetectCanary);
-  step(5);  // call, ldi, sts, ret, break (attacker landing)
-  EXPECT_EQ(cpu_.state(), CpuState::Stopped);
-  EXPECT_FALSE(engine_->tripped());
+  in_both_modes([&] {
+    // V2's defining property: the smashed slot is popped by a clean return
+    // and the core keeps running — frame-free time must NOT be verified, so
+    // the canary detector stays silent (the shadow stack is what catches
+    // this; see the campaign hierarchy tests).
+    load({enc_abs_jump(Op::Call, 4).first, enc_abs_jump(Op::Call, 4).second,
+          enc_no_operand(Op::Break),                 // w2 (legit return)
+          enc_no_operand(Op::Break),                 // w3 (attacker landing)
+          enc_imm(Op::Ldi, 24, 0x03),                // w4: redirect lo byte → 3
+          enc_sts(0x21FF, 24).first,                 // w5
+          enc_sts(0x21FF, 24).second,                // w6
+          enc_no_operand(Op::Ret)});                 // w7
+    arm(detect::kDetectCanary);
+    step(5);  // call, ldi, sts, ret, break (attacker landing)
+    EXPECT_EQ(cpu_.state(), CpuState::Stopped);
+    EXPECT_FALSE(engine_->tripped());
+  });
+}
+
+TEST_F(EngineTest, CanaryWindowEndsBelowTheInnermostFrame) {
+  // The published SP window lets the tier skip SP moves that cannot act:
+  // it stays inside the SP-bounds region and ends one below the SP whose
+  // return retires the innermost frame.
+  load({enc_abs_jump(Op::Call, 3).first, enc_abs_jump(Op::Call, 3).second,
+        enc_no_operand(Op::Break), enc_no_operand(Op::Ret)});
+  arm(detect::kDetectCanary | detect::kDetectSpBounds);
+  EXPECT_EQ(engine_->interest().sp_lo, 0x2000);
+  EXPECT_EQ(engine_->interest().sp_hi, 0x21FF);
+  step(1);  // call: slot 0x21FD..0x21FF, retired when SP is back at 0x21FF
+  EXPECT_EQ(cpu_.sp(), 0x21FC);
+  EXPECT_EQ(engine_->interest().sp_hi, 0x21FE);
+  step(1);  // ret
+  EXPECT_EQ(engine_->interest().sp_hi, 0x21FF);
 }
 
 // --- Return-edge CFI ---------------------------------------------------------
 
 TEST_F(EngineTest, CfiSilentOnCallSiteSuccessor) {
-  load({enc_abs_jump(Op::Call, 3).first, enc_abs_jump(Op::Call, 3).second,
-        enc_no_operand(Op::Break), enc_no_operand(Op::Ret)});
-  arm(detect::kDetectReturnCfi);
-  step(3);
-  EXPECT_EQ(cpu_.state(), CpuState::Stopped);
-  EXPECT_FALSE(engine_->tripped());
+  in_both_modes([&] {
+    load({enc_abs_jump(Op::Call, 3).first, enc_abs_jump(Op::Call, 3).second,
+          enc_no_operand(Op::Break), enc_no_operand(Op::Ret)});
+    arm(detect::kDetectReturnCfi);
+    step(3);
+    EXPECT_EQ(cpu_.state(), CpuState::Stopped);
+    EXPECT_FALSE(engine_->tripped());
+  });
 }
 
 TEST_F(EngineTest, CfiFlagsRetToNonSuccessor) {
-  // Same smash as the shadow test, but judged statically: word 5 is a
-  // gadget entry, not any call's successor.
-  load({enc_imm(Op::Ldi, 24, 0x05),                // w0
-        enc_abs_jump(Op::Call, 5).first,           // w1
-        enc_abs_jump(Op::Call, 5).second,          // w2
-        enc_no_operand(Op::Break),                 // w3
-        0x0000,                                    // w4
-        enc_sts(0x21FF, 24).first,                 // w5
-        enc_sts(0x21FF, 24).second,                // w6
-        enc_no_operand(Op::Ret)});                 // w7
-  arm(detect::kDetectReturnCfi);
-  step(4);
-  ASSERT_TRUE(engine_->tripped());
-  const detect::Verdict& v = engine_->verdicts().front();
-  EXPECT_EQ(v.detector, Detector::kReturnCfi);
-  EXPECT_EQ(v.value, 0x05u);
+  in_both_modes([&] {
+    // Same smash as the shadow test, but judged statically: word 5 is a
+    // gadget entry, not any call's successor.
+    load({enc_imm(Op::Ldi, 24, 0x05),                // w0
+          enc_abs_jump(Op::Call, 5).first,           // w1
+          enc_abs_jump(Op::Call, 5).second,          // w2
+          enc_no_operand(Op::Break),                 // w3
+          0x0000,                                    // w4
+          enc_sts(0x21FF, 24).first,                 // w5
+          enc_sts(0x21FF, 24).second,                // w6
+          enc_no_operand(Op::Ret)});                 // w7
+    arm(detect::kDetectReturnCfi);
+    step(4);
+    ASSERT_TRUE(engine_->tripped());
+    const detect::Verdict& v = engine_->verdicts().front();
+    EXPECT_EQ(v.detector, Detector::kReturnCfi);
+    EXPECT_EQ(v.value, 0x05u);
+  });
 }
 
 TEST_F(EngineTest, CfiExemptsReti) {
-  // An interrupt may return to any interrupted PC: a hand-staged RETI to a
-  // non-successor must not trip (a plain RET to the same address would).
-  load({enc_no_operand(Op::Reti), enc_no_operand(Op::Break),
-        enc_no_operand(Op::Break)});
-  arm(detect::kDetectReturnCfi);
-  cpu_.set_sp(0x21FC);
-  cpu_.data().set_raw(0x21FD, 0);
-  cpu_.data().set_raw(0x21FE, 0);
-  cpu_.data().set_raw(0x21FF, 2);  // word 2: no call successor there
-  step(2);
-  EXPECT_EQ(cpu_.state(), CpuState::Stopped);
-  EXPECT_FALSE(engine_->tripped());
+  in_both_modes([&] {
+    // An interrupt may return to any interrupted PC: a hand-staged RETI to a
+    // non-successor must not trip (a plain RET to the same address would).
+    load({enc_no_operand(Op::Reti), enc_no_operand(Op::Break),
+          enc_no_operand(Op::Break)});
+    arm(detect::kDetectReturnCfi);
+    cpu_.set_sp(0x21FC);
+    cpu_.data().set_raw(0x21FD, 0);
+    cpu_.data().set_raw(0x21FE, 0);
+    cpu_.data().set_raw(0x21FF, 2);  // word 2: no call successor there
+    step(2);
+    EXPECT_EQ(cpu_.state(), CpuState::Stopped);
+    EXPECT_FALSE(engine_->tripped());
+  });
 }
 
 // --- Latching and reset ------------------------------------------------------
 
 TEST_F(EngineTest, ResetDynamicClearsLatchKeepsLog) {
-  load({enc_imm(Op::Ldi, 29, 0x1A), enc_out(avr::kIoSph, 29),
-        enc_no_operand(Op::Break)});
-  arm(detect::kDetectSpBounds);
-  step(2);
-  ASSERT_TRUE(engine_->tripped());
-  engine_->reset_dynamic();
-  EXPECT_FALSE(engine_->tripped());
-  EXPECT_EQ(engine_->total_trips(), 1u);
-  EXPECT_EQ(engine_->verdicts().size(), 1u);
+  in_both_modes([&] {
+    load({enc_imm(Op::Ldi, 29, 0x1A), enc_out(avr::kIoSph, 29),
+          enc_no_operand(Op::Break)});
+    arm(detect::kDetectSpBounds);
+    step(2);
+    ASSERT_TRUE(engine_->tripped());
+    engine_->reset_dynamic();
+    EXPECT_FALSE(engine_->tripped());
+    EXPECT_EQ(engine_->total_trips(), 1u);
+    EXPECT_EQ(engine_->verdicts().size(), 1u);
+  });
 }
 
 // --- Master wiring -----------------------------------------------------------

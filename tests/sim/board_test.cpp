@@ -175,16 +175,43 @@ TEST(Board, SensorsReachTheFirmware) {
   EXPECT_EQ(seen, -12345);
 }
 
-TEST(Board, TraceHookSeesEveryInstruction) {
+TEST(Board, BreakpointEndsRunBeforeTheInstruction) {
+  // A tracer that asks only for a breakpoint keeps the board on the tier
+  // and ends run_cycles() at the first arrival, before the instruction
+  // there executes; a run that starts there fires it again.
+  struct Stop : avr::Tracer {
+    explicit Stop(std::uint32_t pc) {
+      interest_.events = 0;
+      interest_.breakpoints.add(pc);
+    }
+    bool on_breakpoint(const avr::Cpu& cpu, std::uint32_t pc) override {
+      ++hits;
+      at_pc = pc;
+      at_cycle = cpu.cycles();
+      return true;
+    }
+    int hits = 0;
+    std::uint32_t at_pc = 0;
+    std::uint64_t at_cycle = 0;
+  };
   sim::Board board;
   board.flash_image(fw().image.bytes);
-  std::uint64_t hook_calls = 0;
-  board.set_trace_hook([&](const avr::Cpu&) { ++hook_calls; });
-  board.run_cycles(10'000);
-  EXPECT_EQ(hook_calls, board.cpu().instructions_retired());
-  board.set_trace_hook(nullptr);
-  board.run_cycles(10'000);
-  EXPECT_GT(board.cpu().instructions_retired(), hook_calls);
+  const std::uint32_t entry = fw().image.find("ctrl_update")->addr / 2;
+  Stop stop(entry);
+  board.cpu().set_tracer(&stop);
+  board.run_cycles(10'000'000);
+  ASSERT_EQ(stop.hits, 1);
+  EXPECT_EQ(stop.at_pc, entry);
+  EXPECT_EQ(board.cpu().pc(), entry);
+  EXPECT_EQ(board.cpu().cycles(), stop.at_cycle);
+  EXPECT_GT(board.cpu().tier_stats().block_instructions, 0u);
+
+  board.run_cycles(1'000);
+  EXPECT_EQ(stop.hits, 2);
+  EXPECT_EQ(board.cpu().cycles(), stop.at_cycle);
+  board.cpu().set_tracer(nullptr);
+  board.run_cycles(1'000);
+  EXPECT_GT(board.cpu().cycles(), stop.at_cycle);
 }
 
 TEST(Flight, ServoAuthorityDampsRollRate) {

@@ -366,23 +366,23 @@ TEST(Session, V2StealthyAttackFiresSpWatchpointExactlyOnce) {
   EXPECT_NE(session.trace().jsonl().find("watch_hit"), std::string::npos);
 }
 
-TEST(Session, LegacyBoardHookIsNotClobbered) {
-  // Board::set_trace_hook(nullptr) must release the tracer slot only when
-  // it still owns it — an externally attached Session wins.
+TEST(Session, FullInterestKeepsTheTracedInterpreter) {
+  // A Session asks for every hook (the default interest), so run() keeps
+  // it on the traced interpreter even with the tier on: the profiler sees
+  // every retired instruction and no superblock executes.
   sim::Board board;
   board.flash_image(vuln_fw().image.bytes);
   board.run_cycles(10'000);
+  const std::uint64_t blocks = board.cpu().tier_stats().blocks_executed;
+  ASSERT_GT(blocks, 0u);
 
-  std::uint64_t hook_calls = 0;
-  board.set_trace_hook([&](const avr::Cpu&) { ++hook_calls; });
-  board.run_cycles(1'000);
-  EXPECT_GT(hook_calls, 0u);
-
-  trace::Session session;
+  trace::Session session(vuln_fw().image);
   session.attach(board.cpu());
-  board.set_trace_hook(nullptr);  // stale clear: session still attached
-  EXPECT_NE(board.cpu().tracer(), nullptr);
-  board.run_cycles(1'000);
+  const std::uint64_t retired0 = board.cpu().instructions_retired();
+  board.run_cycles(10'000);
+  EXPECT_EQ(board.cpu().tier_stats().blocks_executed, blocks);
+  EXPECT_GT(board.cpu().instructions_retired(), retired0);
+  EXPECT_GT(session.profiler()->total_cycles(), 0u);
   EXPECT_GT(session.trace().total_recorded(), 0u);
   session.detach();
 }

@@ -15,18 +15,28 @@
 #include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: mavr-randomize <container.hex> <out.hex> "
+               "[--seed N] [--stats]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace mavr;
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: mavr-randomize <container.hex> <out.hex> "
-                 "[--seed N] [--stats]\n");
-    return 2;
-  }
+  if (argc < 3) return usage();
   std::uint64_t seed = 1;
   bool stats = false;
   for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--seed") == 0) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "--seed needs a value\n");
+        return 2;
+      }
       const char* v = argv[++i];
       const auto parsed = support::parse_u64(v);
       if (!parsed) {
@@ -36,6 +46,9 @@ int main(int argc, char** argv) {
       seed = *parsed;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return usage();
     }
   }
 

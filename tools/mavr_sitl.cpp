@@ -22,17 +22,27 @@
 #include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: mavr-sitl <container.hex> [--seconds N] [--mavr]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace mavr;
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: mavr-sitl <container.hex> [--seconds N] [--mavr]\n");
-    return 2;
-  }
+  if (argc < 2) return usage();
   int seconds = 6;
   bool use_mavr = false;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--seconds") == 0) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "--seconds needs a value\n");
+        return 2;
+      }
       const char* v = argv[++i];
       const auto parsed = support::parse_u64_in(v, 0, INT_MAX);
       if (!parsed) {
@@ -42,6 +52,9 @@ int main(int argc, char** argv) {
       seconds = static_cast<int>(*parsed);
     } else if (std::strcmp(argv[i], "--mavr") == 0) {
       use_mavr = true;
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return usage();
     }
   }
 

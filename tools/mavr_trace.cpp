@@ -7,6 +7,7 @@
 //              [--trace-out FILE] [--csv-out FILE] [--top N]
 //              [--watch-sp LO:HI[:inside]] [--attack-v2]
 //
+// --watch-sp bounds are hex data-space addresses (0x optional).
 // --attack-v2 boots the vulnerable testapp, arms the forbidden-zone SP
 // watch on the PARAM_SET packet buffer and launches the paper's stealthy
 // V2 attack, demonstrating the exactly-once pivot detection.
@@ -14,7 +15,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "attack/attacks.hpp"
 #include "firmware/generator.hpp"
@@ -34,6 +37,35 @@ int usage() {
       "                  [--capacity N] [--trace-out FILE] [--csv-out FILE]\n"
       "                  [--top N] [--watch-sp LO:HI[:inside]] [--attack-v2]\n");
   return 2;
+}
+
+struct SpWatchSpec {
+  std::uint16_t lo = 0;
+  std::uint16_t hi = 0;
+  bool inside = false;
+};
+
+/// --watch-sp LO:HI[:inside]: both bounds hex (0x optional) within the
+/// data space, and the one mode word spelled exactly.
+std::optional<SpWatchSpec> parse_watch_sp(std::string_view spec) {
+  const std::uint64_t ramend = mavr::avr::atmega2560().ramend();
+  const std::size_t colon = spec.find(':');
+  if (colon == std::string_view::npos) return std::nullopt;
+  std::string_view rest = spec.substr(colon + 1);
+  const std::size_t mode_colon = rest.find(':');
+  SpWatchSpec out;
+  if (mode_colon != std::string_view::npos) {
+    if (rest.substr(mode_colon + 1) != "inside") return std::nullopt;
+    out.inside = true;
+    rest = rest.substr(0, mode_colon);
+  }
+  const auto lo = mavr::support::parse_u64_in(spec.substr(0, colon), 0,
+                                              ramend, 16);
+  const auto hi = mavr::support::parse_u64_in(rest, 0, ramend, 16);
+  if (!lo || !hi) return std::nullopt;
+  out.lo = static_cast<std::uint16_t>(*lo);
+  out.hi = static_cast<std::uint16_t>(*hi);
+  return out;
 }
 
 bool write_file(const std::string& path, const std::string& contents) {
@@ -56,9 +88,7 @@ int main(int argc, char** argv) {
   std::size_t capacity = std::size_t{1} << 16;
   std::size_t top = 20;
   bool attack_v2 = false;
-  bool have_sp_watch = false;
-  unsigned long sp_lo = 0, sp_hi = 0;
-  bool sp_inside = false;
+  std::optional<SpWatchSpec> sp_watch;
 
   for (int i = 1; i < argc; ++i) {
     const auto need_value = [&](const char* flag) -> const char* {
@@ -92,15 +122,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--top") == 0) {
       top = need_u64("--top");
     } else if (std::strcmp(argv[i], "--watch-sp") == 0) {
-      char mode[16] = {};
       const char* spec = need_value("--watch-sp");
-      const int n = std::sscanf(spec, "%li:%li:%15s", &sp_lo, &sp_hi, mode);
-      if (n < 2) {
-        std::fprintf(stderr, "bad --watch-sp spec %s\n", spec);
+      sp_watch = parse_watch_sp(spec);
+      if (!sp_watch) {
+        std::fprintf(stderr, "invalid value for --watch-sp: '%s'\n", spec);
         return 2;
       }
-      sp_inside = (n == 3 && std::strcmp(mode, "inside") == 0);
-      have_sp_watch = true;
     } else if (std::strcmp(argv[i], "--attack-v2") == 0) {
       attack_v2 = true;
     } else {
@@ -153,10 +180,11 @@ int main(int argc, char** argv) {
   }
 
   trace::Session session(fw.image, opts);
-  if (have_sp_watch) {
+  if (sp_watch) {
     session.watchpoints().watch_sp(
-        static_cast<std::uint16_t>(sp_lo), static_cast<std::uint16_t>(sp_hi),
-        sp_inside ? trace::SpWatchMode::Inside : trace::SpWatchMode::Outside,
+        sp_watch->lo, sp_watch->hi,
+        sp_watch->inside ? trace::SpWatchMode::Inside
+                         : trace::SpWatchMode::Outside,
         "cli");
   }
 
